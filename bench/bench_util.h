@@ -1,7 +1,6 @@
 // Shared helpers for the figure/table reproduction benches: system
 // factories, op-count scaling, and aligned table output. Every bench prints
-// the rows/series of its paper figure; see EXPERIMENTS.md for the mapping
-// and the paper-vs-measured record.
+// the rows/series of its paper figure.
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "src/core/push_engine.h"
@@ -101,7 +102,6 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
   // entries at their sources. They become AggDone moved rows instead, and
   // each source re-keys its log toward the tombstone's target — the
   // aggregation-path analog of the kMoved push verdict.
-  uint64_t local_max_acked = 0;
   std::map<std::pair<uint32_t, InodeId>, uint64_t> acked;
   std::map<std::pair<uint32_t, InodeId>, AggDone::MovedRow> moved;
   for (size_t i = 0; i < w->collected.size(); ++i) {
@@ -120,25 +120,17 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
     // Classify AFTER the apply: ApplyEntries drops entries silently when
     // the directory is unknown here, and a rename can commit while the
     // apply waits on the inode lock — a pre-apply check would ack (and so
-    // trim) entries the rename raced. The inode row is checked as well as
-    // the index: WAL replay can leave a stale dir-index row behind (see
-    // ReplayWalInto), matching PushEngine::ApplySection.
-    std::string ikey;
-    psw::Fingerprint ifp = 0;
-    const bool live =
-        v->LookupDirIndex(dir, &ikey, &ifp) && v->kv.Get(ikey).has_value();
-    if (!live && ctx_.config->moved_rebind) {
-      const ServerVolatile::MovedDir* tomb = v->FindMovedTombstone(
-          dir, ctx_.Now(), ctx_.config->moved_tombstone_ttl);
-      if (tomb != nullptr) {
-        moved[{src, dir}] = AggDone::MovedRow{src,
-                                              dir,
-                                              tomb->AppliedFor(src, fp),
-                                              tomb->new_fp,
-                                              tomb->new_owner,
-                                              tomb->epoch};
-        continue;
-      }
+    // trim) entries the rename raced.
+    const ServerVolatile::MovedDir* tomb =
+        v->MovedAway(dir, ctx_.Now(), ctx_.config->moved_tombstone_ttl);
+    if (tomb != nullptr) {
+      moved[{src, dir}] = AggDone::MovedRow{src,
+                                            dir,
+                                            tomb->AppliedFor(src, fp),
+                                            tomb->new_fp,
+                                            tomb->new_owner,
+                                            tomb->epoch};
+      continue;
     }
     auto& high = acked[{src, dir}];
     high = std::max(high, max_seq);
@@ -152,13 +144,11 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
       if (it == acked.end()) {
         continue;
       }
-      local_max_acked = std::max(local_max_acked, it->second);
       for (uint64_t lsn : log.AckUpTo(it->second)) {
         ctx_.durable->wal.MarkApplied(lsn);
       }
     }
   }
-  (void)local_max_acked;
 
   auto done = std::make_shared<AggDone>();
   done->fp = fp;
@@ -229,7 +219,7 @@ sim::Task<void> Aggregation::ApplyEntries(VolPtr v, InodeId dir, uint32_t src,
     // BEFORE applying (PushEngine::ApplySection, RunAggregation's apply
     // phase, SyncParentUpdate) and route a kMoved/moved-row rebind verdict
     // instead; this silent drop is only reached for genuinely removed
-    // directories or with moved_rebind off.
+    // directories.
     co_return;
   }
   LockTable::Handle lock;
@@ -283,53 +273,65 @@ sim::Task<void> Aggregation::ApplyEntries(VolPtr v, InodeId dir, uint32_t src,
     co_return;
   }
 
-  // Per-entry commit-stamp LWW (lww_resolve): each name's last applied write
-  // keeps a stamp row, and an entry whose (ts, origin, src, seq) stamp is
-  // older than the row no-ops. Within one lane seqs are FIFO with
+  // Per-entry commit-stamp LWW: each name's last applied write keeps a stamp
+  // row, and an entry whose (ts, origin, src, seq) stamp is older than the
+  // row no-ops. Within one lane seqs are FIFO with
   // non-decreasing timestamps, so this never fires for plain traffic — it
   // resolves the cross-era case (a rebound old-era entry arriving after a
   // same-name new-era entry; the hwm lanes are per-fingerprint and cannot
   // see that inversion) and WAN-replayed conflicts (the stamp a WAN apply
   // left carries its origin cluster). Runs BEFORE the WAL appends so records
   // exist only for winners — replay then re-applies unconditionally and
-  // max-merges the stamps. Losers still resolve the lane: final_seq is
-  // bumped into the hwm after the apply either way.
+  // max-merges the stamps. Winners' stamps are written with their rows
+  // (ServerVolatile::RedoDirent), so an entry whose name already has an
+  // in-batch winner compares against that winner's stamp, not the pre-batch
+  // row: a lane is not stamp-ordered once RebindMovedLog appends older
+  // old-era entries behind pending new-era ones. Losers still resolve the
+  // lane: final_seq is bumped into the hwm after the apply either way.
   //
   // Winners get a presence-aware size delta: a write that wins over an
   // already-applied same-name entry from another era or cluster replaces the
   // entry row rather than adding one, and the directory's entry count must
   // say so (the size half of the phantom-dirent gap).
   const uint64_t final_seq = todo.back().seq;
-  if (ctx_.config->lww_resolve) {
-    std::vector<ChangeLogEntry> kept;
-    kept.reserve(todo.size());
-    std::map<std::string, bool> present_override;  // in-batch sequences
-    for (ChangeLogEntry& e : todo) {
-      const LwwStamp incoming{e.timestamp, ctx_.config->cluster_id, src,
-                              e.seq};
-      const std::string skey = LwwStampKey(dir, e.name);
-      auto row = v->kv.Get(skey);
-      if (row.has_value() && incoming < LwwStamp::Decode(*row)) {
-        ctx_.stats->wan_conflicts_lww++;
-        continue;  // a newer write already resolved this name
-      }
-      const bool creates =
-          e.op == OpType::kCreate || e.op == OpType::kMkdir;
-      auto ov = present_override.find(e.name);
-      const bool present =
-          ov != present_override.end()
-              ? ov->second
-              : v->kv.Get(EntryKey(dir, e.name)).has_value();
-      e.size_delta = creates ? (present ? 0 : 1) : (present ? -1 : 0);
-      present_override[e.name] = creates;
-      v->kv.Put(skey, incoming.Encode());
-      kept.push_back(std::move(e));
+  const auto stamp_of = [this, src](const ChangeLogEntry& e) {
+    return LwwStamp{e.timestamp, ctx_.config->cluster_id, src, e.seq};
+  };
+  // The batch's last winner per name: its stamp stands in for the name's
+  // stamp row (the row is written by the winner's redo, after this pass),
+  // and its op says whether the entry row will be there.
+  struct Winner {
+    LwwStamp stamp;
+    bool present = false;
+  };
+  std::map<std::string, Winner> winners;
+  std::vector<ChangeLogEntry> kept;
+  kept.reserve(todo.size());
+  for (ChangeLogEntry& e : todo) {
+    const LwwStamp incoming = stamp_of(e);
+    auto w = winners.find(e.name);
+    std::optional<LwwStamp> newest;
+    if (w != winners.end()) {
+      newest = w->second.stamp;
+    } else if (auto row = v->kv.Get(LwwStampKey(dir, e.name))) {
+      newest = LwwStamp::Decode(*row);
     }
-    todo = std::move(kept);
-    if (todo.empty()) {
-      bump_hwm(final_seq);
-      co_return;
+    if (newest.has_value() && incoming < *newest) {
+      ctx_.stats->wan_conflicts_lww++;
+      continue;  // a newer write already resolved this name
     }
+    const bool creates = e.op == OpType::kCreate || e.op == OpType::kMkdir;
+    const bool present = w != winners.end()
+                             ? w->second.present
+                             : v->kv.Get(EntryKey(dir, e.name)).has_value();
+    e.size_delta = creates ? (present ? 0 : 1) : (present ? -1 : 0);
+    winners[e.name] = Winner{incoming, creates};
+    kept.push_back(std::move(e));
+  }
+  todo = std::move(kept);
+  if (todo.empty()) {
+    bump_hwm(final_seq);
+    co_return;
   }
 
   co_await ctx_.cpu->Run(ctx_.costs->kv_get);
@@ -340,9 +342,13 @@ sim::Task<void> Aggregation::ApplyEntries(VolPtr v, InodeId dir, uint32_t src,
   }
   Attr attr = Attr::Decode(*value);
 
+  // Each logged record is applied by the same row redo WAL replay runs
+  // (ServerVolatile::RedoDirent), so the runtime and recovered states agree
+  // by construction.
   if (ctx_.config->compaction) {
-    // §5.3: consolidated attribute update (one put) + entry-list operations
-    // fanned out across cores; WAL appends are group-committed.
+    // §5.3: consolidated attribute update (every record carries the batch's
+    // final size/mtime; one attr-merge charge) + entry-list operations fanned
+    // out across cores; WAL appends are group-committed.
     int64_t size_delta = 0;
     int64_t max_ts = attr.mtime;
     for (const ChangeLogEntry& e : todo) {
@@ -363,30 +369,22 @@ sim::Task<void> Aggregation::ApplyEntries(VolPtr v, InodeId dir, uint32_t src,
       rec.result_mtime = max_ts;
       rec.batch_token = batch_token;
       ctx_.durable->wal.Append(kWalEntryApply, rec.Encode());
-      sim::Spawn([](ServerContext* ctx, VolPtr vol, InodeId d,
-                    ChangeLogEntry entry,
+      sim::Spawn([](ServerContext* ctx, VolPtr vol, std::string ikey,
+                    EntryApplyRecord rec, LwwStamp stamp,
                     std::shared_ptr<sim::JoinCounter> jc) -> sim::Task<void> {
         co_await ctx->cpu->Run(ctx->costs->wal_append_batched +
                                ctx->costs->changelog_apply_entry);
         if (!vol->dead) {
-          const std::string ekey = EntryKey(d, entry.name);
-          if (entry.op == OpType::kCreate || entry.op == OpType::kMkdir) {
-            vol->kv.Put(ekey, EncodeEntryValue(entry.entry_type));
-          } else {
-            vol->kv.Delete(ekey);
-          }
+          vol->RedoDirent(rec.dir, ikey, rec.entry, stamp, rec.result_size,
+                          rec.result_mtime);
         }
         jc->Done();
-      }(&ctx_, v, dir, e, join));
+      }(&ctx_, v, ikey, std::move(rec), stamp_of(e), join));
     }
     co_await join->Wait();
     if (v->dead) co_return;
-    attr.size = result_size;
-    attr.mtime = max_ts;
-    attr.atime = std::max(attr.atime, max_ts);
     co_await ctx_.cpu->Run(ctx_.costs->attr_merge_apply);
     if (v->dead) co_return;
-    v->kv.Put(ikey, attr.Encode());
     bump_hwm(final_seq);
   } else {
     // No compaction (+Async ablation): every entry is a full read-modify-
@@ -410,15 +408,10 @@ sim::Task<void> Aggregation::ApplyEntries(VolPtr v, InodeId dir, uint32_t src,
       co_await sim::Delay(
           ctx_.sim, ctx_.costs->dir_update_critical - ctx_.costs->dir_update_cpu);
       if (v->dead) co_return;
-      const std::string ekey = EntryKey(dir, e.name);
-      if (e.op == OpType::kCreate || e.op == OpType::kMkdir) {
-        v->kv.Put(ekey, EncodeEntryValue(e.entry_type));
-      } else {
-        v->kv.Delete(ekey);
-      }
+      v->RedoDirent(dir, ikey, e, stamp_of(e), rec.result_size,
+                    rec.result_mtime);
       attr.size = rec.result_size;
       attr.mtime = rec.result_mtime;
-      v->kv.Put(ikey, attr.Encode());
       bump_hwm(e.seq);
     }
     bump_hwm(final_seq);  // LWW-dropped tail entries are resolved too

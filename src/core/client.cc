@@ -350,8 +350,8 @@ sim::Task<Status> SwitchFsClient::SetAttr(const std::string& path,
 sim::Task<StatusOr<DirHandle>> SwitchFsClient::OpenDir(
     const std::string& path) {
   // OpenDir is the consistency point of the stream: the owner aggregates
-  // under the agg gate (dirty-tracker pre-read hook attached) and pins the
-  // snapshot session the pages will be served from.
+  // under the agg gate (dirty-tracker pre-read hook attached) and opens the
+  // cursor session the pages will be served from.
   MetaCall call = MetaCall::DirRead(OpType::kOpenDir, /*want_entries=*/false);
   OpResult r = co_await IssueOp(call, path);
   if (!r.status.ok()) {

@@ -48,10 +48,10 @@ class SwitchFsClient : public MetadataService {
       return o;
     }();
     // OpenDir is the directory stream's one heavyweight op: the owner
-    // aggregates and scans the whole entry list into the session snapshot,
-    // which is O(directory) work (a million-entry directory scans for
-    // ~140 ms of simulated time). Pages stay on the tight `call` deadline —
-    // they are mtu-bounded — but the open needs a directory-scale one.
+    // aggregates every deferred entry of the directory before opening the
+    // session, which can be O(directory) work. Pages stay on the tight
+    // `call` deadline — they are mtu-bounded — but the open needs a
+    // directory-scale one.
     net::CallOptions opendir_call = [] {
       net::CallOptions o;
       o.timeout = sim::Seconds(2);

@@ -28,8 +28,8 @@ struct CachedDir {
 
 // Client-side state behind one DirHandle (MetadataService v2): where the
 // owner-side session lives and how to route page requests back to it. The
-// routing is pinned at OpenDir — the session stays at the server that built
-// the snapshot even if the directory is renamed away mid-stream.
+// routing is pinned at OpenDir — the session stays at the server that
+// opened it even if the directory is renamed away mid-stream.
 struct OpenDirState {
   std::string path;
   InodeId dir;                     // directory id (observability)

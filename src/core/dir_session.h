@@ -4,28 +4,29 @@
 // the four baseline servers so the stream semantics are identical across
 // systems. Two session flavours:
 //
-//  * Snapshot sessions (baselines; SwitchFS with `snapshot_sessions`) copy
-//    the entry list at open. The snapshot is immutable: a page stream never
-//    drops an entry that was committed before the open (SwitchFS aggregates
-//    under the agg gate first, so deferred pre-open entries are in the list)
-//    and never duplicates an entry across pages — concurrent creates/
-//    unlinks/renames mutate the live entry list, not the snapshot.
-//  * Cursor sessions (SwitchFS default) store only the scan position — the
-//    KV key of the last served entry — and each page does a bounded KV seek
-//    from it. OpenDir is O(1) instead of O(directory). The entry keyspace
-//    is ordered and deletes remove keys outright (no tombstone rows), so
-//    the seek's implicit skip over deleted cursors preserves the no-dup/
-//    no-loss guarantee: a key is served at most once, and every pre-open
-//    entry that survives the scan window is reached. Entries created or
-//    renamed ahead of the cursor may appear (live semantics, like POSIX
-//    readdir); entries behind it never re-appear.
+//  * Cursor sessions (SwitchFS) store only the scan position — the KV key
+//    of the last served entry — and each page does a bounded KV seek from
+//    it, so OpenDir is O(1). SwitchFS aggregates under the agg gate at open,
+//    so deferred pre-open entries are in the keyspace the cursor walks. The
+//    entry keyspace is ordered and deletes remove keys outright (no
+//    tombstone rows), so the seek's implicit skip over deleted cursors
+//    preserves the no-dup/no-loss guarantee: a key is served at most once,
+//    and every pre-open entry that survives the scan window is reached.
+//    Entries created or renamed ahead of the cursor may appear (live
+//    semantics, like POSIX readdir); entries behind it never re-appear.
+//  * Snapshot sessions (baselines) copy the entry list at open. The
+//    snapshot is immutable: a page stream never drops an entry that was
+//    committed before the open and never duplicates an entry across pages —
+//    concurrent creates/unlinks/renames mutate the live entry list, not the
+//    snapshot.
 //
 // SwitchFS streams are page-sequenced: the cookie is the page's sequence
 // number, so a client can speculatively issue page p+1 while consuming page
 // p (pipelined prefetch). The session caches the last served page for
 // idempotent re-serves and briefly parks pages that arrive ahead of their
 // turn (network jitter reorders packets). Baseline streams keep positional
-// cookies (index into the snapshot) — they never prefetch.
+// cookies (index into the snapshot, DirSessionTable::PageOf) — they never
+// prefetch.
 //
 // Sessions are volatile: they expire after an inactivity TTL (watchdog +
 // lazy check), are LRU-evicted past the per-table cap (a crash-looping
@@ -69,13 +70,11 @@ struct DirSession {
   // SwitchFS). Monotone per directory, so two handles can be ordered by
   // freshness.
   int64_t snapshot_at = 0;
-  bool cursor = false;            // cursor session (no pinned snapshot)
   std::vector<DirEntry> entries;  // snapshot sessions: key-ordered copy
 
-  // Page-sequenced stream state (SwitchFS, both flavours).
+  // Page-sequenced cursor stream state (SwitchFS).
   uint64_t next_page = 0;   // sequence number the stream serves next
-  uint64_t offset = 0;      // snapshot: index of the next unserved entry
-  std::string cursor_key;   // cursor: KV key of the last served entry
+  std::string cursor_key;   // KV key of the last served entry
   bool at_end = false;      // the stream has served its final entry
   DirPage last_page;        // cached last-served page (idempotent re-serve)
 
@@ -92,7 +91,8 @@ class SFS_SUSPENSION_SHARED DirSessionTable {
       : epoch_(static_cast<uint64_t>(epoch)),
         shard_(static_cast<uint64_t>(shard) & (kMaxShards - 1)) {}
 
-  // Opens a snapshot session over a pre-scanned entry list.
+  // Opens a session. Baselines pass the pre-scanned entry list (a snapshot
+  // session); SwitchFS passes none (a cursor session, O(1)).
   DirSession& Open(const InodeId& dir, std::vector<DirEntry> entries,
                    int64_t now) {
     DirSession s;
@@ -102,13 +102,6 @@ class SFS_SUSPENSION_SHARED DirSessionTable {
     s.entries = std::move(entries);
     s.last_access = now;
     return sessions_.emplace(s.id, std::move(s)).first->second;
-  }
-
-  // Opens a cursor session: no snapshot copy, O(1).
-  DirSession& OpenCursor(const InodeId& dir, int64_t now) {
-    DirSession& s = Open(dir, {}, now);
-    s.cursor = true;
-    return s;
   }
 
   // Live session or nullptr; refreshes the inactivity clock on a hit and
@@ -144,12 +137,9 @@ class SFS_SUSPENSION_SHARED DirSessionTable {
   }
 
   // Table-wide cap: evicts least-recently-used sessions until at most `cap`
-  // remain (0 = uncapped). Returns the number evicted; the abandoned
-  // handles surface as kStaleHandle on their next page call.
+  // remain. Returns the number evicted; the abandoned handles surface as
+  // kStaleHandle on their next page call.
   size_t EvictLruOverCap(size_t cap) {
-    if (cap == 0) {
-      return 0;
-    }
     size_t evicted = 0;
     while (sessions_.size() > cap) {
       auto victim = sessions_.begin();

@@ -80,7 +80,7 @@ struct MetaResp : net::Message {
   uint64_t dir_session = 0;  // kOpenDir: session the pages are served from
   uint64_t next_cookie = 0;  // kReaddirPage: pass to the next page call
   bool at_end = false;       // kReaddirPage: stream exhausted
-  uint64_t dir_entries = 0;  // kOpenDir: snapshot cardinality (observability)
+  uint64_t dir_entries = 0;  // kOpenDir: entry count at open (observability)
   // kBatchStat verdicts, parallel to MetaReq::targets. A per-target
   // kStaleCache points at stale_ids (union across targets); the overall
   // `status` stays kOk so healthy targets in the batch still resolve.

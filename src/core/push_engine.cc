@@ -414,18 +414,18 @@ sim::Task<PushResp::AckedDir> PushEngine::ApplySection(
   //    the rest toward the tombstone's target (RebindMovedLog).
   //  * genuinely removed -> ack the section's max seq so the source trims
   //    the obsolete backlog instead of re-pushing it forever.
-  if (!v->LookupDirIndex(dir, &ikey, &fp) || !v->kv.Get(ikey).has_value()) {
-    if (ctx_.config->moved_rebind) {
-      const ServerVolatile::MovedDir* moved = v->FindMovedTombstone(
-          dir, ctx_.Now(), ctx_.config->moved_tombstone_ttl);
-      if (moved != nullptr) {
-        row.status = PushResp::SectionStatus::kMoved;
-        row.new_fp = moved->new_fp;
-        row.new_owner = moved->new_owner;
-        row.rename_epoch = moved->epoch;
-        row.acked_seq = moved->AppliedFor(src, section_fp);
-        co_return row;
-      }
+  // MovedAway repeats the live-dir lookup; that second lookup is only paid
+  // on this rare gone-directory branch, the live path looks up once.
+  if (!v->LookupLiveDir(dir, &ikey, &fp)) {
+    const ServerVolatile::MovedDir* moved =
+        v->MovedAway(dir, ctx_.Now(), ctx_.config->moved_tombstone_ttl);
+    if (moved != nullptr) {
+      row.status = PushResp::SectionStatus::kMoved;
+      row.new_fp = moved->new_fp;
+      row.new_owner = moved->new_owner;
+      row.rename_epoch = moved->epoch;
+      row.acked_seq = moved->AppliedFor(src, section_fp);
+      co_return row;
     }
     row.acked_seq = max_seq;
     if (batch_token != 0) {
@@ -537,8 +537,7 @@ sim::Task<void> PushEngine::HandlePush(net::Packet p, VolPtr v) {
   co_await jc->Wait();
   if (v->dead) co_return;
   resp->acked = std::move(*rows);
-  if (ctx_.config->push_busy_threshold > 0 &&
-      v->inflight_push_sections > ctx_.config->push_busy_threshold) {
+  if (v->inflight_push_sections > ctx_.config->push_busy_threshold) {
     // Deep apply queue: hint the source to defer its next non-urgent drain
     // (it coalesces a bigger batch behind its idle timer instead).
     resp->retry_after = ctx_.config->push_pace_hint;
@@ -643,7 +642,7 @@ sim::Task<bool> PushEngine::RebindMovedLog(VolPtr v, InodeId dir,
       // is bounded to the same-name case and to sources whose eager verdict
       // fetch (EagerRebindMoved) lost the race with a client op through the
       // new path — and it is settled at the apply: the per-name LWW stamp
-      // (ServerConfig::lww_resolve) drops the stale old-era entry when it
+      // (Aggregation::ApplyEntries) drops the stale old-era entry when it
       // arrives after the newer same-name write, so the inversion can no
       // longer materialize a phantom dirent or resurrect a deleted one.
       moved_entries = from->DrainInto(v->GetChangeLog(new_fp, dir));

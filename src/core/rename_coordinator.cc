@@ -188,11 +188,9 @@ sim::Task<void> RenameCoordinator::HandleRename(net::Packet p, VolPtr v) {
     v->inval.Add(src_attr.id, ctx_.Now());
     auto bcast = std::make_shared<InvalBroadcast>();
     bcast->id = src_attr.id;
-    if (ctx_.config->moved_rebind) {
-      bcast->moved = true;
-      bcast->old_fp = sfp;
-      bcast->new_fp = dfp;
-    }
+    bcast->moved = true;
+    bcast->old_fp = sfp;
+    bcast->new_fp = dfp;
     net::Packet mc;
     mc.dst = net::kServerMulticast;
     mc.ds.origin = ctx_.node_id();
@@ -204,11 +202,9 @@ sim::Task<void> RenameCoordinator::HandleRename(net::Packet p, VolPtr v) {
     mc.mc.fingerprint = sfp;
     mc.body = bcast;
     ctx_.rpc->Send(std::move(mc));
-    if (ctx_.config->moved_rebind) {
-      // The multicast does not loop back to this server: rebind our own
-      // old-era log for the directory, if any.
-      sim::Spawn(push_.EagerRebindMoved(v, src_attr.id, sfp, dfp));
-    }
+    // The multicast does not loop back to this server: rebind our own
+    // old-era log for the directory, if any.
+    sim::Spawn(push_.EagerRebindMoved(v, src_attr.id, sfp, dfp));
   }
   ctx_.RespondStatus(p, StatusCode::kOk);
 }
@@ -306,11 +302,9 @@ sim::Task<void> RenameCoordinator::HandleRenameCommit(net::Packet p, VolPtr v) {
     // takes over the directory's applied high-water marks (rename era
     // boundary): kMoved verdicts serve them, and the live rows are erased so
     // a directory that later returns here starts a fresh dedup era.
-    const bool install_tombstone =
-        msg->moved_tombstone && ctx_.config->moved_rebind;
     const uint64_t moved_epoch = static_cast<uint64_t>(ctx_.Now());
     std::vector<std::pair<uint32_t, uint64_t>> moved_applied;
-    if (install_tombstone) {
+    if (msg->moved_tombstone) {
       // The fingerprint this tombstone closes: the renamed directory's own
       // (parent, name) hash at this server — the snapshot below must filter
       // the hwm lanes by it BEFORE it lands in the record.
@@ -382,7 +376,7 @@ sim::Task<void> RenameCoordinator::HandleRenameCommit(net::Packet p, VolPtr v) {
             v->kv.Delete(EntryKey(attr.id, e.name));
           }
           v->kv.Delete(DirIndexKey(attr.id));
-          if (install_tombstone) {
+          if (msg->moved_tombstone) {
             // In place of the bare removal: record where the directory went,
             // so a push/aggregation that finds it gone re-keys instead of
             // trimming (PushResp::kMoved / AggDone moved rows).

@@ -299,7 +299,7 @@ void SwitchServer::OnRaw(net::Packet p) {
     case InvalBroadcast::kType: {
       const auto* msg = static_cast<const InvalBroadcast*>(p.body.get());
       v->inval.Add(msg->id, Now());
-      if (msg->moved && config_.moved_rebind) {
+      if (msg->moved) {
         // Rename rebind hint: re-key our old-era change-log for the moved
         // directory now, before any client can have re-resolved the new
         // path (keeps old-era entries ordered ahead of same-name new-era
@@ -573,26 +573,18 @@ sim::Task<Status> SwitchServer::SyncParentUpdate(VolPtr v, psw::Fingerprint fp,
     // Classify AFTER the apply: ApplyEntries drops entries silently when
     // the directory is unknown here, and a rename can commit while the
     // apply waits on the inode lock — a pre-apply check would let the
-    // blanket trim below swallow entries the rename raced. (Index AND
-    // inode checked: replay can leave a stale dir-index row behind, see
-    // ReplayWalInto — matching PushEngine::ApplySection.)
-    std::string ikey;
-    psw::Fingerprint ifp = 0;
-    if (config_.moved_rebind && (!v->LookupDirIndex(dir, &ikey, &ifp) ||
-                                 !v->kv.Get(ikey).has_value())) {
-      const ServerVolatile::MovedDir* tomb =
-          v->FindMovedTombstone(dir, Now(), config_.moved_tombstone_ttl);
-      if (tomb != nullptr) {
-        // Renamed away from this fingerprint: re-key the backlog toward the
-        // new owner instead of trimming it. Detached — the caller holds
-        // this group's change-log lock, so an inline rebind would
-        // self-deadlock. The op itself is committed; visibility follows
-        // the rebound push.
-        sim::Spawn(push_.RebindMovedLogDetached(
-            v, dir, fp, tomb->new_fp, tomb->AppliedFor(config_.index, fp),
-            /*from_aggregation=*/false));
-        co_return OkStatus();
-      }
+    // blanket trim below swallow entries the rename raced.
+    const ServerVolatile::MovedDir* tomb =
+        v->MovedAway(dir, Now(), config_.moved_tombstone_ttl);
+    if (tomb != nullptr) {
+      // Renamed away from this fingerprint: re-key the backlog toward the
+      // new owner instead of trimming it. Detached — the caller holds this
+      // group's change-log lock, so an inline rebind would self-deadlock.
+      // The op itself is committed; visibility follows the rebound push.
+      sim::Spawn(push_.RebindMovedLogDetached(
+          v, dir, fp, tomb->new_fp, tomb->AppliedFor(config_.index, fp),
+          /*from_aggregation=*/false));
+      co_return OkStatus();
     }
     AckChangeLogUpTo(v, fp, dir, max_seq);
     co_return OkStatus();
@@ -672,24 +664,14 @@ sim::Task<void> SwitchServer::HandleInsertFallback(net::Packet p, VolPtr v) {
   co_await agg_.ApplyEntries(v, env->dir, env->src_server, env->fp,
                              env->backlog, "");
   if (v->dead) co_return;
-  {
-    // A backlog for a renamed-away directory must not be acked at max seq
-    // (ApplyEntries drops it silently): ack only the pre-rename applied
-    // prefix, so the source keeps the rest pending and the regular push
-    // path re-keys it via the kMoved verdict. Classified AFTER the apply —
-    // a rename can commit while the apply waits on the inode lock — and
-    // with the inode row checked as well as the index (replay can leave a
-    // stale dir-index row; see ReplayWalInto / PushEngine::ApplySection).
-    std::string ikey;
-    psw::Fingerprint ifp = 0;
-    if (config_.moved_rebind && (!v->LookupDirIndex(env->dir, &ikey, &ifp) ||
-                                 !v->kv.Get(ikey).has_value())) {
-      const ServerVolatile::MovedDir* tomb = v->FindMovedTombstone(
-          env->dir, Now(), config_.moved_tombstone_ttl);
-      if (tomb != nullptr) {
-        acked_seq = tomb->AppliedFor(env->src_server, env->fp);
-      }
-    }
+  // A backlog for a renamed-away directory must not be acked at max seq
+  // (ApplyEntries drops it silently): ack only the pre-rename applied
+  // prefix, so the source keeps the rest pending and the regular push path
+  // re-keys it via the kMoved verdict. Classified AFTER the apply — a
+  // rename can commit while the apply waits on the inode lock.
+  if (const ServerVolatile::MovedDir* tomb =
+          v->MovedAway(env->dir, Now(), config_.moved_tombstone_ttl)) {
+    acked_seq = tomb->AppliedFor(env->src_server, env->fp);
   }
 
   // Complete the client's operation (the response packet was redirected to
@@ -892,9 +874,9 @@ sim::Task<void> SwitchServer::HandleOpenDir(net::Packet p, VolPtr v) {
   const std::string ikey = InodeKey(ref.pid, ref.name);
 
   // Aggregate ONCE at open (§5.2.2 under the agg gate): every entry
-  // committed before the open is in the list the snapshot below pins, so
+  // committed before the open is in the live keyspace the cursor walks, so
   // the page stream can never drop a pre-open entry. Pages themselves skip
-  // the gate — they serve the pinned snapshot.
+  // the gate.
   LockTable::Handle gate = co_await GateDirRead(v, p, *req, dir_fp);
   if (v->dead) co_return;
 
@@ -922,49 +904,20 @@ sim::Task<void> SwitchServer::HandleOpenDir(net::Packet p, VolPtr v) {
     co_return;
   }
 
-  // Open-time cost is the A/B lever (`snapshot_sessions`): a snapshot
-  // session copies the entry list here — the stream's one O(directory)
-  // scan, charged at open — and is immune to concurrent creates/unlinks/
-  // renames, including a rename or rmdir of the directory itself (the
-  // session outlives the directory's presence and keeps serving the pinned
-  // listing). The default cursor session stores only a scan position, so
-  // OpenDir is O(1) and each page charges its own bounded seek+scan
-  // (HandleReaddirPage); pre-open entries are still never lost — the
-  // aggregation above lands them in the live keyspace the cursor walks.
-  // Sessions are minted by (and live on) the directory fingerprint's shard;
-  // the session id embeds the shard index so page/close/watchdog route back
-  // without knowing the fingerprint. The LRU cap divides across shards (at
-  // least 1 each) so one hot directory's scanners cannot evict every other
-  // shard's cursors; the shard-local counter feeds the per-shard satellite
-  // test, the global stat keeps the historical aggregate visible.
-  uint64_t session_id = 0;
-  uint64_t dir_entries = 0;
-  if (config_.snapshot_sessions) {
-    std::vector<DirEntry> entries;
-    v->kv.ScanPrefix(EntryPrefix(attr.id),
-                     [&](const std::string& k, const std::string& val) {
-                       entries.push_back(DirEntry{
-                           std::string(EntryNameFromKey(k)),
-                           DecodeEntryValue(val)});
-                       return true;
-                     });
-    co_await cpu_.Run(static_cast<sim::SimTime>(entries.size()) *
-                      costs_->kv_scan_per_entry);
-    if (v->dead) co_return;
-    dir_entries = entries.size();
-    session_id = v->ShardFor(dir_fp)
-                     .dir_sessions.Open(attr.id, std::move(entries), Now())
-                     .id;
-  } else {
-    // Advisory entry count from the aggregated directory size (no scan).
-    dir_entries = attr.size;
-    session_id = v->ShardFor(dir_fp).dir_sessions.OpenCursor(attr.id, Now()).id;
-  }
+  // A cursor session stores only a scan position, so OpenDir is O(1) and
+  // each page charges its own bounded seek+scan (HandleReaddirPage); pre-open
+  // entries are still never lost — the aggregation above lands them in the
+  // live keyspace the cursor walks. Sessions are minted by (and live on) the
+  // directory fingerprint's shard; the session id embeds the shard index so
+  // page/close/watchdog route back without knowing the fingerprint. The LRU
+  // cap divides across shards (at least 1 each) so one hot directory's
+  // scanners cannot evict every other shard's cursors; evictions are counted
+  // per shard and in the server-wide stat.
+  const uint64_t session_id =
+      v->ShardFor(dir_fp).dir_sessions.Open(attr.id, {}, Now()).id;
   stats_.dir_opens++;
   const size_t shard_cap =
-      config_.max_dir_sessions == 0
-          ? 0
-          : std::max<size_t>(1, config_.max_dir_sessions / v->num_shards());
+      std::max<size_t>(1, config_.max_dir_sessions / v->num_shards());
   const uint64_t evicted =
       v->ShardFor(dir_fp).dir_sessions.EvictLruOverCap(shard_cap);
   v->ShardFor(dir_fp).dir_sessions_evicted += evicted;
@@ -974,7 +927,7 @@ sim::Task<void> SwitchServer::HandleOpenDir(net::Packet p, VolPtr v) {
   auto resp = std::make_shared<MetaResp>(StatusCode::kOk);
   resp->attr = attr;
   resp->dir_session = session_id;
-  resp->dir_entries = dir_entries;
+  resp->dir_entries = attr.size;  // advisory: the aggregated size, no scan
   co_await cpu_.Run(costs_->reply_build);
   if (v->dead) co_return;
   rpc_.Respond(p, resp);
@@ -1049,7 +1002,7 @@ sim::Task<void> SwitchServer::HandleReaddirPage(net::Packet p, VolPtr v) {
       if (session->at_end) {
         // Idempotent tail re-read past the end.
         page.at_end = true;
-      } else if (session->cursor) {
+      } else {
         // Bounded KV seek from the last served key. Deletes remove entry
         // keys outright (no tombstone rows), so a deleted cursor is skipped
         // implicitly by upper_bound and a key is served at most once.
@@ -1075,23 +1028,18 @@ sim::Task<void> SwitchServer::HandleReaddirPage(net::Packet p, VolPtr v) {
               EntryKey(session->dir, page.entries.back().name);
         }
         page.at_end = !budget_stop;
-        // Satellite of the cursor design: the scan cost moves from OpenDir
-        // (where the snapshot path pays it all at once) to the page that
-        // performs it.
+        // The scan is charged to the page that performs it (OpenDir does
+        // not scan).
         scan_cost = static_cast<sim::SimTime>(page.entries.size()) *
                     costs_->kv_scan_per_entry;
-      } else {
-        page = DirSessionTable::PageOf(*session, session->offset,
-                                       config_.mtu_entries, config_.mtu_bytes);
-        session->offset = page.next_cookie;
       }
       page.next_cookie = want + 1;
       session->at_end = page.at_end;
       session->next_page = want + 1;
       session->last_page = page;
 
-      // Per-page accounting: this page's scan (cursor sessions only) plus
-      // its marshalling and reply build.
+      // Per-page accounting: this page's scan plus its marshalling and
+      // reply build.
       co_await cpu_.Run(scan_cost +
                         static_cast<sim::SimTime>(page.entries.size()) *
                             costs_->readdir_per_entry +
@@ -1831,6 +1779,18 @@ void SwitchServer::Crash() {
 }
 
 void SwitchServer::ReplayWalInto(ServerVolatile& v) {
+  // Both dirent record kinds (kWalEntryApply, kWalWanApply) redo through the
+  // row mutation their runtime apply ran; a directory removed later in the
+  // log has no index row and is skipped.
+  const auto redo_dirent = [&v](const InodeId& dir, const ChangeLogEntry& e,
+                                const LwwStamp& stamp, uint64_t result_size,
+                                int64_t result_mtime) {
+    std::string ikey;
+    psw::Fingerprint fp = 0;
+    if (v.LookupDirIndex(dir, &ikey, &fp)) {
+      v.RedoDirent(dir, ikey, e, stamp, result_size, result_mtime);
+    }
+  };
   for (const kv::WalRecord& r : durable_->wal.records()) {
     stats_.wal_replayed++;
     switch (r.type) {
@@ -1877,7 +1837,7 @@ void SwitchServer::ReplayWalInto(ServerVolatile& v) {
           e.wal_lsn = r.lsn;
           v.GetChangeLog(rec.parent_fp, rec.parent_dir).Restore(std::move(e));
         }
-        if (rec.has_moved_tombstone && config_.moved_rebind) {
+        if (rec.has_moved_tombstone) {
           // Re-install the moved tombstone so rename-away stays
           // distinguishable from removed across a crash of the old owner
           // (in-flight change-logs elsewhere still need the rebind verdict).
@@ -1938,74 +1898,23 @@ void SwitchServer::ReplayWalInto(ServerVolatile& v) {
           break;  // already applied (idempotent redo)
         }
         high = rec.entry.seq;
-        std::string ikey;
-        psw::Fingerprint fp = 0;
-        if (!v.LookupDirIndex(rec.dir, &ikey, &fp)) {
-          break;  // directory removed later in the log
-        }
-        auto value = v.kv.Get(ikey);
-        if (!value.has_value()) {
-          break;
-        }
-        const std::string ekey = EntryKey(rec.dir, rec.entry.name);
-        if (rec.entry.op == OpType::kCreate ||
-            rec.entry.op == OpType::kMkdir) {
-          v.kv.Put(ekey, EncodeEntryValue(rec.entry.entry_type));
-        } else {
-          v.kv.Delete(ekey);
-        }
-        // Rebuild the name's LWW stamp (max-merge). Records exist only for
-        // entries that won their comparison at runtime, so replay applies
-        // them unconditionally; the stamps only need to be correct for
-        // FUTURE arrivals (a late cross-era or WAN entry after recovery).
-        if (config_.lww_resolve) {
-          const LwwStamp stamp{rec.entry.timestamp, config_.cluster_id,
-                               rec.src_server, rec.entry.seq};
-          const std::string skey = LwwStampKey(rec.dir, rec.entry.name);
-          auto srow = v.kv.Get(skey);
-          if (!srow.has_value() || LwwStamp::Decode(*srow) < stamp) {
-            v.kv.Put(skey, stamp.Encode());
-          }
-        }
-        Attr attr = Attr::Decode(*value);
-        attr.size = rec.result_size;
-        attr.mtime = std::max(attr.mtime, rec.result_mtime);
-        v.kv.Put(ikey, attr.Encode());
+        // Records exist only for entries that won their LWW comparison at
+        // runtime, so replay redoes them unconditionally; the max-merged
+        // stamps only need to be correct for FUTURE arrivals (a late
+        // cross-era or WAN entry after recovery).
+        redo_dirent(rec.dir, rec.entry,
+                    LwwStamp{rec.entry.timestamp, config_.cluster_id,
+                             rec.src_server, rec.entry.seq},
+                    rec.result_size, rec.result_mtime);
         break;
       }
       case kWalWanApply: {
-        // Geo-replicated apply (idempotent redo, mirroring kWalEntryApply):
-        // re-apply the entry, restore the absolute directory attributes the
-        // runtime apply computed, and max-merge the origin's LWW stamp so
-        // post-recovery arrivals still resolve against it.
+        // Geo-replicated apply: the same redo, stamped with the origin.
         WanApplyRecord rec = WanApplyRecord::Decode(r.payload);
-        std::string ikey;
-        psw::Fingerprint fp = 0;
-        if (!v.LookupDirIndex(rec.dir, &ikey, &fp)) {
-          break;  // directory removed later in the log
-        }
-        auto value = v.kv.Get(ikey);
-        if (!value.has_value()) {
-          break;
-        }
-        const std::string ekey = EntryKey(rec.dir, rec.entry.name);
-        if (rec.entry.op == OpType::kCreate ||
-            rec.entry.op == OpType::kMkdir) {
-          v.kv.Put(ekey, EncodeEntryValue(rec.entry.entry_type));
-        } else {
-          v.kv.Delete(ekey);
-        }
-        const LwwStamp stamp{rec.entry.timestamp, rec.origin_cluster,
-                             rec.src_server, rec.entry.seq};
-        const std::string skey = LwwStampKey(rec.dir, rec.entry.name);
-        auto srow = v.kv.Get(skey);
-        if (!srow.has_value() || LwwStamp::Decode(*srow) < stamp) {
-          v.kv.Put(skey, stamp.Encode());
-        }
-        Attr attr = Attr::Decode(*value);
-        attr.size = rec.result_size;
-        attr.mtime = std::max(attr.mtime, rec.result_mtime);
-        v.kv.Put(ikey, attr.Encode());
+        redo_dirent(rec.dir, rec.entry,
+                    LwwStamp{rec.entry.timestamp, rec.origin_cluster,
+                             rec.src_server, rec.entry.seq},
+                    rec.result_size, rec.result_mtime);
         break;
       }
       default:
@@ -2090,8 +1999,7 @@ sim::Task<void> SwitchServer::ApplyWanEntryTask(
   }
   std::string ikey;
   psw::Fingerprint fp = 0;
-  if (!v->LookupDirIndex(we.dir, &ikey, &fp) ||
-      !v->kv.Get(ikey).has_value()) {
+  if (!v->LookupLiveDir(we.dir, &ikey, &fp)) {
     // Unknown or removed here: not replicable at this cluster. Acked — a
     // re-ship cannot make it applicable (a later mkdir of the same path
     // mints a fresh id at its own cluster).
@@ -2108,8 +2016,7 @@ sim::Task<void> SwitchServer::ApplyWanEntryTask(
   }
   const LwwStamp incoming{we.entry.timestamp, we.origin_cluster,
                           we.src_server, we.entry.seq};
-  const std::string skey = LwwStampKey(we.dir, we.entry.name);
-  auto srow = v->kv.Get(skey);
+  auto srow = v->kv.Get(LwwStampKey(we.dir, we.entry.name));
   if (srow.has_value() && incoming < LwwStamp::Decode(*srow)) {
     // A newer write (local or from another origin) already resolved this
     // name — the conflict settles the same way at every cluster.
@@ -2154,17 +2061,8 @@ sim::Task<void> SwitchServer::ApplyWanEntryTask(
     jc->Done();
     co_return;
   }
-  const std::string ekey = EntryKey(we.dir, we.entry.name);
-  if (creates) {
-    v->kv.Put(ekey, EncodeEntryValue(we.entry.entry_type));
-  } else {
-    v->kv.Delete(ekey);
-  }
-  v->kv.Put(skey, incoming.Encode());
-  attr.size = rec.result_size;
-  attr.mtime = rec.result_mtime;
-  attr.atime = std::max(attr.atime, rec.result_mtime);
-  v->kv.Put(ikey, attr.Encode());
+  v->RedoDirent(we.dir, ikey, we.entry, incoming, rec.result_size,
+                rec.result_mtime);
   stats_.wan_entries_applied++;
   result->applied++;
   jc->Done();

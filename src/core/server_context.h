@@ -14,6 +14,7 @@
 #ifndef SRC_CORE_SERVER_CONTEXT_H_
 #define SRC_CORE_SERVER_CONTEXT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -92,14 +93,10 @@ struct ServerConfig {
   // consecutive failure up to push_retry_max_backoff_shift doublings.
   sim::SimTime push_retry_backoff = sim::Microseconds(200);
   int push_retry_max_backoff_shift = 6;
-  // Rename-vs-removal disambiguation (§5.2 rename race): the source leg of a
-  // directory rename installs a moved tombstone so in-flight change-log
-  // entries keyed to the old fingerprint are re-keyed to the new owner
-  // instead of trimmed. Off = pre-tombstone behavior (rename-away
-  // indistinguishable from removal; raced entries are lost) — A/B lever for
-  // the rename-race tests.
-  bool moved_rebind = true;
-  // Moved-tombstone retention. This is the change-log retention horizon for
+  // Moved-tombstone retention (§5.2 rename race: the source leg of a
+  // directory rename always installs a moved tombstone, so in-flight
+  // change-log entries keyed to the old fingerprint are re-keyed to the new
+  // owner instead of trimmed). This is the change-log retention horizon for
   // rebinds: a tombstone must outlive any source's unacked backlog for the
   // old fingerprint (pushes retry with backoff capped at
   // push_retry_backoff << push_retry_max_backoff_shift, so seconds dwarf the
@@ -113,17 +110,16 @@ struct ServerConfig {
   int agg_max_retries = 12;
   sim::SimTime responder_session_timeout = sim::Milliseconds(20);
   // Directory-stream sessions (MetadataService v2): inactivity TTL of an
-  // OpenDir snapshot at the owner. A page call after expiry gets
-  // kStaleHandle and the client re-opens. The watchdog reuses the responder-
-  // session pattern; the TTL must dwarf the per-page RPC cadence (~µs).
+  // OpenDir cursor session at the owner (O(1) open, per-page bounded KV
+  // seek, live POSIX-readdir semantics for concurrent mutations). A page
+  // call after expiry gets kStaleHandle and the client re-opens. The
+  // watchdog reuses the responder-session pattern; the TTL must dwarf the
+  // per-page RPC cadence (~µs).
   sim::SimTime dir_session_ttl = sim::Milliseconds(20);
-  // A/B lever: pin an O(directory) snapshot at OpenDir (the PR-5 behavior)
-  // instead of the default KV-cursor sessions (O(1) open, per-page bounded
-  // seek, live POSIX-readdir semantics for concurrent mutations).
-  bool snapshot_sessions = false;
-  // Table-wide session cap: past it, the least-recently-used session is
-  // evicted (kStaleHandle on its next page) so a crash-looping scanner
-  // abandoning handles cannot bloat the owner. 0 = uncapped.
+  // Server-wide session cap, split evenly across shards (at least 1 each):
+  // past it, the least-recently-used session is evicted (kStaleHandle on its
+  // next page) so a crash-looping scanner abandoning handles cannot bloat
+  // the owner.
   size_t max_dir_sessions = 4096;
   uint32_t rename_coordinator = 0;  // server index of the rename coordinator
   // In-switch metadata read cache (requires TrackerMode::kSwitch — the cache
@@ -140,7 +136,7 @@ struct ServerConfig {
   // Adaptive push pacing: when an owner's in-flight apply backlog exceeds
   // push_busy_threshold sections, its PushResp carries a retry_after hint of
   // push_pace_hint and source pushers defer their next non-urgent drain by
-  // that long. 0 threshold disables the hint.
+  // that long.
   int push_busy_threshold = 8;
   sim::SimTime push_pace_hint = sim::Microseconds(200);
   // Geo-replication identity: which cluster this server belongs to. Part of
@@ -148,14 +144,6 @@ struct ServerConfig {
   // clusters stamping the same simulated instant still resolve
   // deterministically and identically everywhere.
   uint32_t cluster_id = 0;
-  // Per-entry commit-timestamp last-writer-wins at the apply: each dirent
-  // write keeps a stamp row ("w" + dir + name) and an incoming entry whose
-  // stamp is older no-ops. Closes the phantom-dirent old-era/new-era
-  // ordering gap (a rebound old-era entry can arrive after a same-name
-  // new-era entry; seq dedup lanes are per-fingerprint and cannot see the
-  // inversion) and is the conflict resolver for WAN replays. Off restores
-  // the pre-LWW arrival-order behavior (A/B lever for the regression test).
-  bool lww_resolve = true;
 };
 
 // Context the cluster provides to servers and clients.
@@ -480,6 +468,14 @@ struct SFS_SUSPENSION_SHARED ServerVolatile {
     return true;
   }
 
+  // LookupDirIndex for a directory that is still here: false also when the
+  // index row survives but its inode row is gone (WAL replay can leave such a
+  // stale row behind; see SwitchServer::ReplayWalInto).
+  bool LookupLiveDir(const InodeId& dir, std::string* inode_key,
+                     psw::Fingerprint* fp) const {
+    return LookupDirIndex(dir, inode_key, fp) && kv.Get(*inode_key).has_value();
+  }
+
   // Installs (or refreshes) a moved tombstone. The epoch check makes install
   // order irrelevant: a replayed commit of an earlier rename cannot displace
   // the tombstone of a later one.
@@ -490,11 +486,20 @@ struct SFS_SUSPENSION_SHARED ServerVolatile {
     }
   }
 
-  // Live tombstone for `dir`, or nullptr. Expired tombstones (older than
-  // `ttl`) are erased on the way — after that a late push for the moved
-  // directory degrades to the removed-directory trim.
-  const MovedDir* FindMovedTombstone(const InodeId& dir, int64_t now,
-                                     sim::SimTime ttl) {
+  // The one "renamed away?" decision: the live moved tombstone of a
+  // directory that is no longer here (LookupLiveDir fails), or nullptr when
+  // it is still here or was removed. The push path asks it before its apply
+  // (PushEngine::ApplySection, once its own LookupLiveDir has failed); the
+  // aggregation, sync-apply and overflow-fallback verdicts ask it after
+  // theirs. Tombstones older than `ttl` are erased on the way — after that a
+  // late push for the moved directory degrades to the removed-directory trim.
+  const MovedDir* MovedAway(const InodeId& dir, int64_t now,
+                            sim::SimTime ttl) {
+    std::string ikey;
+    psw::Fingerprint fp = 0;
+    if (LookupLiveDir(dir, &ikey, &fp)) {
+      return nullptr;
+    }
     auto it = moved_dirs.find(dir);
     if (it == moved_dirs.end()) {
       return nullptr;
@@ -504,6 +509,39 @@ struct SFS_SUSPENSION_SHARED ServerVolatile {
       return nullptr;
     }
     return &it->second;
+  }
+
+  // The dirent-row redo: the one synchronous KV mutation behind every settled
+  // dirent write — change-log applies (Aggregation::ApplyEntries), WAN
+  // applies, and the WAL replay of both record kinds. Puts or deletes `e`'s
+  // entry row in `dir`, max-merges the name's LWW stamp row with `stamp`, and
+  // writes the directory attr at `ikey` (absolute `result_size`; mtime and
+  // atime max-merged with `result_mtime`). Callers keep their own LWW
+  // comparison, CPU charges and WAL append; this never suspends. Writes
+  // nothing when the directory's attr row is gone.
+  void RedoDirent(const InodeId& dir, const std::string& ikey,
+                  const ChangeLogEntry& e, const LwwStamp& stamp,
+                  uint64_t result_size, int64_t result_mtime) {
+    auto value = kv.Get(ikey);
+    if (!value.has_value()) {
+      return;
+    }
+    const std::string ekey = EntryKey(dir, e.name);
+    if (e.op == OpType::kCreate || e.op == OpType::kMkdir) {
+      kv.Put(ekey, EncodeEntryValue(e.entry_type));
+    } else {
+      kv.Delete(ekey);
+    }
+    const std::string skey = LwwStampKey(dir, e.name);
+    auto srow = kv.Get(skey);
+    if (!srow.has_value() || LwwStamp::Decode(*srow) < stamp) {
+      kv.Put(skey, stamp.Encode());
+    }
+    Attr attr = Attr::Decode(*value);
+    attr.size = result_size;
+    attr.mtime = std::max(attr.mtime, result_mtime);
+    attr.atime = std::max(attr.atime, attr.mtime);
+    kv.Put(ikey, attr.Encode());
   }
 
   // Snapshot-and-erase of ALL of a directory's applied lanes (rename era

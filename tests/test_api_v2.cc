@@ -5,7 +5,7 @@
 //  * paged streams match the monolithic listing, fill pages to the
 //    mtu_bytes budget (mtu_entries is only a hard cap), and neither drop a
 //    pre-open entry nor duplicate across pages under a concurrent
-//    create/unlink/rename storm (4 seeds x snapshot/cursor sessions),
+//    create/unlink/rename storm (4 seeds, cursor sessions),
 //  * cursor sessions survive unlink-at-cursor and rename-of-next-entry,
 //  * sessions expire (stale cookie), die with an owner crash mid-scan, and
 //    are LRU-evicted past the table-wide cap,
@@ -21,7 +21,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "src/baselines/baseline.h"
@@ -262,7 +261,7 @@ TEST_P(ApiV2Suite, SessionExpiryYieldsStaleHandle) {
     auto page = co_await c->ReaddirPage(*handle, kDirStreamStart);
     *first = page.ok() ? OkStatus() : page.status();
     // Sit past the inactivity TTL: the server-side watchdog reclaims the
-    // snapshot, so the next cookie is stale.
+    // session, so the next cookie is stale.
     co_await sim::Delay(&world->world_sim(), sim::Milliseconds(20));
     auto late = co_await c->ReaddirPage(*handle, page.ok() ? page->next_cookie
                                                            : kDirStreamStart);
@@ -429,16 +428,13 @@ INSTANTIATE_TEST_SUITE_P(AllFiveSystems, ApiV2Suite,
 // SwitchFS property test: paged readdir under a create/unlink/rename storm
 // ---------------------------------------------------------------------------
 
-// Parameter: (seed, snapshot_sessions) — the storm must hold under both the
-// O(1)-open KV-cursor sessions (default) and the frozen-snapshot lever.
-class PagedReaddirStorm
-    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
+// Parameter: seed. The stream is served by an O(1)-open KV-cursor session.
+class PagedReaddirStorm : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PagedReaddirStorm, NoLostPreOpenEntryAndNoDuplicateAcrossPages) {
-  const uint64_t seed = std::get<0>(GetParam());
+  const uint64_t seed = GetParam();
   ClusterConfig cfg = SmallClusterConfig(4);
   cfg.seed = seed;
-  cfg.server_template.snapshot_sessions = std::get<1>(GetParam());
   FsHarness fs(cfg);
 
   // Phase A (quiesced): the pre-open population the stream must not lose.
@@ -453,8 +449,8 @@ TEST_P(PagedReaddirStorm, NoLostPreOpenEntryAndNoDuplicateAcrossPages) {
   // Phase B: a slow scanner pages through the directory while workers storm
   // it with creates/unlinks/renames of THEIR OWN files (pre-open entries are
   // never touched, so the no-loss assertion is exact) and a renamer moves
-  // the directory itself mid-scan (the snapshot session is pinned at the
-  // owner that built it).
+  // the directory itself mid-scan (the session stays at the owner that
+  // minted it).
   std::vector<std::string> scanned;  // names in page order (dup check)
   bool oversize = false;
   Status scan_status = InternalError("not run");
@@ -533,8 +529,8 @@ TEST_P(PagedReaddirStorm, NoLostPreOpenEntryAndNoDuplicateAcrossPages) {
       }
     }(clients[w].get(), &current_dir, w, seed));
   }
-  // The directory itself moves mid-scan: pages must keep serving the pinned
-  // snapshot from the session's owner.
+  // The directory itself moves mid-scan: pages keep routing to the session's
+  // owner.
   bool renamed = false;
   sim::Spawn([](sim::Simulator* sm, SwitchFsClient* c, std::string* dir,
                 bool* renamed) -> sim::Task<void> {
@@ -575,11 +571,9 @@ TEST_P(PagedReaddirStorm, NoLostPreOpenEntryAndNoDuplicateAcrossPages) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Seeds, PagedReaddirStorm,
-    ::testing::Combine(::testing::Values(21, 22, 23, 24), ::testing::Bool()),
+    Seeds, PagedReaddirStorm, ::testing::Values(21, 22, 23, 24),
     [](const auto& info) {
-      return std::string(std::get<1>(info.param) ? "snapshot" : "cursor") +
-             "_seed" + std::to_string(std::get<0>(info.param));
+      return "cursor_seed" + std::to_string(info.param);
     });
 
 // ---------------------------------------------------------------------------

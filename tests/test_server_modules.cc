@@ -13,6 +13,7 @@
 #include "src/core/push_engine.h"
 #include "src/core/rename_coordinator.h"
 #include "src/core/schema.h"
+#include "src/core/wal_records.h"
 #include "src/net/network.h"
 #include "src/tracker/owner_tracker.h"
 
@@ -601,40 +602,6 @@ TEST(PushEngineModule, RenameRacedPushRebindsToNewOwner) {
   }
 }
 
-// A/B companion: with the tombstone lookup disabled (moved_rebind off — the
-// pre-tombstone protocol), the same race trims the committed entries as if
-// the directory had been removed, and they never reach the new location.
-// This is exactly the data-loss window the tombstone closes.
-TEST(PushEngineModule, RenameRacedPushTrimsWhenRebindDisabled) {
-  PushHarness h;
-  h.src.config.moved_rebind = false;
-  h.owner.config.moved_rebind = false;
-  const InodeId parent = RootId();
-  const std::string old_name = h.NameOwnedBy(parent, 1, "dvo");
-  const std::string new_name = h.NameOwnedBy(parent, 0, "dvn");
-  const psw::Fingerprint old_fp = FingerprintOf(parent, old_name);
-  const InodeId dir = h.SeedDirAt(h.src, parent, new_name, 801);
-  ServerVolatile::MovedDir tomb;
-  tomb.old_fp = old_fp;
-  tomb.new_fp = FingerprintOf(parent, new_name);
-  tomb.new_owner = 0;
-  tomb.epoch = 7;
-  tomb.installed_at = h.sim.Now();
-  h.owner.vol->InstallMovedTombstone(dir, tomb);
-
-  h.AppendAndSchedule(old_fp, dir, 3);
-  h.sim.Run();
-
-  EXPECT_EQ(h.src.stats.pushes_rebound, 0u);
-  EXPECT_EQ(h.src.stats.entries_rebound, 0u);
-  EXPECT_EQ(h.SrcPending(old_fp, dir), 0u) << "trimmed as obsolete";
-  EXPECT_EQ(h.src.stats.entries_applied + h.owner.stats.entries_applied, 0u)
-      << "the committed creates are lost — nothing ever applied";
-  auto value = h.src.vol->kv.Get(InodeKey(parent, new_name));
-  ASSERT_TRUE(value.has_value());
-  EXPECT_EQ(Attr::Decode(*value).size, 0u);
-}
-
 // The kMoved verdict's acked_seq carries the prefix the old owner applied
 // before the rename (it migrated with the directory's entry list): the
 // source trims that prefix and rebinds only the unapplied suffix, so nothing
@@ -723,7 +690,7 @@ TEST(PushEngineModule, TombstoneInstallKeepsNewestEpoch) {
   first.installed_at = h.sim.Now();
   h.owner.vol->InstallMovedTombstone(dir, first);
 
-  const ServerVolatile::MovedDir* tomb = h.owner.vol->FindMovedTombstone(
+  const ServerVolatile::MovedDir* tomb = h.owner.vol->MovedAway(
       dir, h.sim.Now(), h.owner.config.moved_tombstone_ttl);
   ASSERT_NE(tomb, nullptr);
   EXPECT_EQ(tomb->new_fp, 222u) << "the second rename's target survives";
@@ -777,6 +744,46 @@ TEST(PushEngineModule, AggregationMovedRowRebindsCollectedEntries) {
     if (r.type == 1) {
       EXPECT_TRUE(r.applied);
     }
+  }
+}
+
+// Per-name LWW inside one pushed section: RebindMovedLog appends a rebound
+// old-era entry (older timestamp, higher seq) behind a pending new-era entry
+// of the same name, so a single section can hold a newer create of "x"
+// followed by an older unlink of "x". The unlink must lose to the create
+// it trails — not be compared only against the pre-batch stamp row — with
+// and without compaction, and no WAL apply record may be logged for it.
+TEST(PushEngineModule, InvertedSameNameSectionKeepsTheNewerWrite) {
+  for (const bool compaction : {true, false}) {
+    SCOPED_TRACE(compaction ? "compaction" : "no compaction");
+    PushHarness h;
+    h.owner.config.compaction = compaction;
+    const InodeId parent = RootId();
+    const std::string name = h.NameOwnedBy(parent, 1, "inv");
+    const InodeId dir = h.SeedDirAt(h.owner, parent, name, 820);
+    const psw::Fingerprint fp = FingerprintOf(parent, name);
+
+    ChangeLog& clog = h.src.vol->GetChangeLog(fp, dir);
+    for (ChangeLogEntry e : {MakeEntry(1, "x", OpType::kCreate, 200),
+                             MakeEntry(2, "x", OpType::kUnlink, 100)}) {
+      e.wal_lsn = h.src.durable.wal.Append(1, "op");
+      clog.Restore(std::move(e));
+    }
+    h.src.push->MaybeSchedulePush(h.src.vol, fp, dir);
+    h.sim.Run();
+
+    EXPECT_EQ(h.src.stats.pushes_sent, 1u);
+    EXPECT_EQ(h.SrcPending(fp, dir), 0u) << "the loser still resolves";
+    EXPECT_TRUE(h.owner.vol->kv.Get(EntryKey(dir, "x")).has_value())
+        << "older unlink removed the newer create's dirent";
+    EXPECT_EQ(h.OwnerAttr(parent, name).size, 1u);
+    EXPECT_EQ(h.owner.stats.wan_conflicts_lww, 1u);
+    EXPECT_EQ(h.owner.stats.entries_applied, 1u);
+    size_t apply_records = 0;
+    for (const kv::WalRecord& r : h.owner.durable.wal.records()) {
+      apply_records += r.type == kWalEntryApply ? 1 : 0;
+    }
+    EXPECT_EQ(apply_records, 1u) << "a record was logged for the loser";
   }
 }
 

@@ -337,35 +337,72 @@ TEST(PhantomDirentLww, StaleOlderWriteIsDroppedAtApply) {
   EXPECT_GE(fs.cluster.TotalStats().wan_conflicts_lww, 1u);
 }
 
-// With the resolver off (ServerConfig::lww_resolve=false — the A/B lever),
-// the same sequence materializes the dirent: proves the gate is live.
-TEST(PhantomDirentLww, LeverOffKeepsLegacyOrdering) {
-  ClusterConfig cfg = SmallClusterConfig();
-  cfg.server_template.lww_resolve = false;
-  FsHarness fs(cfg);
-  const Cluster::PreloadedDir& dir = fs.cluster.PreloadMkdir("/d");
-  fs.cluster.WarmClient(*fs.client);
+// Crash/recovery of one owner that holds both dirent record kinds: a WAN
+// apply (kWalWanApply) and a settled local create (kWalEntryApply) in the
+// same directory. Replay redoes both through the runtime's row mutation, so
+// the listing and size come back unchanged — and so do both names' LWW
+// stamps: post-recovery WAN writes older than either settled write still
+// lose their comparison.
+TEST(PhantomDirentLww, ReplayRestoresRowsAndStampsOfBothRecordKinds) {
+  FsHarness fs;
+  // A committed mkdir (preloaded rows are not in the WAL, so they would not
+  // survive the crash).
+  ASSERT_TRUE(fs.Mkdir("/d").ok());
+  auto d = fs.StatDir("/d");
+  ASSERT_TRUE(d.ok());
+  const InodeId dir_id = d->id;
+  const psw::Fingerprint dir_fp = FingerprintOf(RootId(), "d");
+  const uint32_t owner = fs.cluster.ring().Owner(dir_fp);
+  const auto apply_wan = [&](OpType op, const std::string& name,
+                             sim::SimTime ts) {
+    core::WanEntry we;
+    we.dir = dir_id;
+    we.dir_fp = dir_fp;
+    we.origin_cluster = 9;
+    we.src_server = 0;
+    we.entry.seq = 1;
+    we.entry.timestamp = ts;
+    we.entry.op = op;
+    we.entry.name = name;
+    we.entry.entry_type = FileType::kFile;
+    auto result = std::make_shared<core::WanApplyResult>();
+    auto jc = std::make_shared<sim::JoinCounter>(&fs.cluster.sim(), 1);
+    fs.cluster.server(owner).EnqueueWanApply(we, result, jc);
+    fs.cluster.sim().Run();
+    return *result;
+  };
 
-  core::WanEntry we;
-  we.dir = dir.id;
-  we.dir_fp = dir.fp;
-  we.origin_cluster = 9;
-  we.src_server = 0;
-  we.entry.seq = 1;
-  we.entry.timestamp = sim::Seconds(100);
-  we.entry.op = OpType::kUnlink;
-  we.entry.name = "x";
-  we.entry.entry_type = FileType::kFile;
-  auto result = std::make_shared<core::WanApplyResult>();
-  auto jc = std::make_shared<sim::JoinCounter>(&fs.cluster.sim(), 1);
-  fs.cluster.server(fs.cluster.ring().Owner(dir.fp))
-      .EnqueueWanApply(we, result, jc);
-  fs.cluster.sim().Run();
-
+  ASSERT_EQ(apply_wan(OpType::kCreate, "w", sim::Seconds(100)).applied, 1);
   ASSERT_TRUE(fs.Create("/d/x").ok());
-  auto listing = fs.Readdir("/d");
-  ASSERT_TRUE(listing.ok());
-  EXPECT_EQ(listing->size(), 1u);
+  auto before = fs.Readdir("/d");  // settles x's deferred apply
+  ASSERT_TRUE(before.ok());
+  ASSERT_EQ(before->size(), 2u);
+  auto size_before = fs.StatDir("/d");
+  ASSERT_TRUE(size_before.ok());
+  ASSERT_EQ(size_before->size, 2u);
+
+  fs.cluster.CrashServer(owner);
+  fs.Run(fs.cluster.RecoverServer(owner));
+
+  auto after = fs.Readdir("/d");
+  ASSERT_TRUE(after.ok());
+  ASSERT_EQ(after->size(), before->size());
+  for (size_t i = 0; i < after->size(); ++i) {
+    EXPECT_EQ((*after)[i].name, (*before)[i].name);
+  }
+  auto size_after = fs.StatDir("/d");
+  ASSERT_TRUE(size_after.ok());
+  EXPECT_EQ(size_after->size, size_before->size);
+
+  // Older than the replayed WAN create of "w" (its kWalWanApply stamp) and
+  // than the replayed local create of "x" (its kWalEntryApply stamp).
+  const uint64_t conflicts = fs.cluster.TotalStats().wan_conflicts_lww;
+  EXPECT_EQ(apply_wan(OpType::kUnlink, "w", sim::Seconds(50)).conflicts, 1);
+  EXPECT_EQ(apply_wan(OpType::kUnlink, "x", 1).conflicts, 1);
+  EXPECT_EQ(fs.cluster.TotalStats().wan_conflicts_lww, conflicts + 2);
+  auto still = fs.Readdir("/d");
+  ASSERT_TRUE(still.ok());
+  EXPECT_EQ(still->size(), 2u);
 }
 
 // ---------------------------------------------------------------------------
