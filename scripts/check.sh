@@ -10,6 +10,7 @@
 #                                       # on PATH; installed in CI, not baked
 #                                       # into the dev container)
 #   SFS_BENCH_SMOKE=1 scripts/check.sh  # also run the perf smoke benches
+#                                       # and the repo benchmark's self-test
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -89,6 +90,10 @@ if [[ "${SFS_BENCH_SMOKE:-0}" == "1" ]]; then
   python3 scripts/bench_check.py BENCH_push_batching.json \
       BENCH_readdir_paging.json BENCH_switch_cache.json \
       BENCH_shard_scaling.json BENCH_wan_replication.json
+  # The repo benchmark (BENCHMARK.json) builds src/ itself: a src/ change
+  # that breaks its build or its end-state check fails here (~15 s, offline).
+  echo "== perf smoke: perfbench self-test =="
+  python3 perfbench/selftest.py
 fi
 
 if [[ "$MODE" != "--fast" ]]; then

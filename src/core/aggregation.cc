@@ -1,10 +1,13 @@
 #include "src/core/aggregation.h"
 
 #include <algorithm>
+#include <cassert>
 #include <map>
 #include <memory>
 #include <optional>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "src/core/push_engine.h"
 #include "src/core/schema.h"
@@ -14,51 +17,81 @@
 
 namespace switchfs::core {
 
+namespace {
+
+// Appends every non-empty change-log of group `fp` as one PerDir: the
+// snapshot a collect gathers, at the owner and at each responder.
+void AppendPendingLogs(ServerVolatile& v, psw::Fingerprint fp,
+                       std::vector<AggEntries::PerDir>* out) {
+  const auto& groups = v.ShardFor(fp).changelogs;
+  auto it = groups.find(fp);
+  if (it == groups.end()) {
+    return;
+  }
+  for (const auto& [dir, log] : it->second) {
+    if (log.empty()) {
+      continue;
+    }
+    AggEntries::PerDir pd;
+    pd.fp = fp;
+    pd.dir = dir;
+    pd.entries.assign(log.pending().begin(), log.pending().end());
+    out->push_back(std::move(pd));
+  }
+}
+
+}  // namespace
+
 sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
-    VolPtr v, psw::Fingerprint fp, std::optional<InodeId> invalidate,
-    psw::Fingerprint held_cl_fp, const std::string& held_inode_key,
-    bool defer_done) {
+    VolPtr v, std::vector<psw::Fingerprint> fps,
+    std::optional<InodeId> invalidate, psw::Fingerprint held_cl_fp,
+    const std::string& held_inode_key, bool defer_done) {
+  assert(!fps.empty() && fps.size() <= kMaxRoundGroups);
+  assert(std::is_sorted(fps.begin(), fps.end()));
+  assert(std::all_of(fps.begin(), fps.end(), [&](psw::Fingerprint fp) {
+    return &v->ShardFor(fp) == &v->ShardFor(fps.front());
+  }));
   ctx_.stats->aggregations++;
+  ctx_.stats->agg_groups += fps.size();
   Outcome outcome;
 
   auto w = std::make_shared<ServerVolatile::AggWait>();
+  w->fps = fps;
   for (uint32_t s = 0; s < ctx_.cluster->ServerCount(); ++s) {
     if (s != ctx_.config->index) {
       w->pending.insert(s);
     }
   }
-  v->ShardFor(fp).agg_waits[fp] = w;
+  for (psw::Fingerprint fp : fps) {
+    v->ShardFor(fp).agg_waits[fp] = w;
+  }
 
   if (invalidate.has_value()) {
     v->inval.Add(*invalidate, ctx_.Now());
   }
 
   // Local snapshot: our own change-logs belong to the collection too. The
-  // shared lock serializes against in-flight double-inode ops (Fig 20).
+  // shared locks, taken in fingerprint order, serialize against in-flight
+  // double-inode ops (Fig 20).
   {
-    LockTable::Handle local_lock;
-    if (fp != held_cl_fp) {
-      local_lock =
+    std::vector<LockTable::Handle> local_locks;
+    for (psw::Fingerprint fp : fps) {
+      if (fp == held_cl_fp) {
+        continue;
+      }
+      LockTable::Handle lock =
           co_await v->ShardFor(fp).changelog_locks.AcquireShared(FpKey(fp));
       if (v->dead) co_return outcome;
+      local_locks.push_back(std::move(lock));
     }
-    auto it = v->ShardFor(fp).changelogs.find(fp);
-    if (it != v->ShardFor(fp).changelogs.end()) {
-      for (auto& [dir, log] : it->second) {
-        if (log.empty()) {
-          continue;
-        }
-        AggEntries::PerDir pd;
-        pd.dir = dir;
-        pd.entries.assign(log.pending().begin(), log.pending().end());
-        w->collected.push_back(std::move(pd));
-        w->collected_src.push_back(ctx_.config->index);
-      }
+    for (psw::Fingerprint fp : fps) {
+      AppendPendingLogs(*v, fp, &w->collected);
     }
+    w->collected_src.resize(w->collected.size(), ctx_.config->index);
   }
 
-  // Remove the fingerprint and multicast the collect request; retry with a
-  // fresh sequence number until every server has replied (§5.4.1).
+  // Remove the round's fingerprints and multicast the collect request; retry
+  // with a fresh sequence number until every server has replied (§5.4.1).
   bool complete = w->pending.empty();
   for (int attempt = 0; attempt <= ctx_.config->agg_max_retries && !complete;
        ++attempt) {
@@ -70,7 +103,7 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
     w->slot = std::make_shared<sim::OneShot<bool>>(ctx_.sim);
 
     auto collect = std::make_shared<AggCollect>();
-    collect->fp = fp;
+    collect->fps = fps;
     collect->initiator_server = ctx_.config->index;
     collect->initiator_node = ctx_.node_id();
     collect->agg_seq = seq;
@@ -82,7 +115,7 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
     net::Packet rm;
     rm.dst = net::kServerMulticast;
     rm.body = collect;
-    co_await ctx_.dirty_tracker->RemoveAndMulticast(ctx_, v, fp, seq,
+    co_await ctx_.dirty_tracker->RemoveAndMulticast(ctx_, v, fps, seq,
                                                     std::move(rm));
     if (v->dead) co_return outcome;
 
@@ -96,19 +129,21 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
     }
   }
 
-  // Apply phase: per-(dir, source) batches, hwm-deduplicated. Entries
+  // Apply phase: per-(dir, source, group) batches, hwm-deduplicated. Entries
   // collected for a directory that was renamed away (live moved tombstone)
   // are neither applied nor acked: acking at max seq would trim committed
   // entries at their sources. They become AggDone moved rows instead, and
   // each source re-keys its log toward the tombstone's target — the
   // aggregation-path analog of the kMoved push verdict.
-  std::map<std::pair<uint32_t, InodeId>, uint64_t> acked;
-  std::map<std::pair<uint32_t, InodeId>, AggDone::MovedRow> moved;
+  using RowKey = std::tuple<uint32_t, psw::Fingerprint, InodeId>;
+  std::map<RowKey, uint64_t> acked;
+  std::map<RowKey, AggDone::MovedRow> moved;
   for (size_t i = 0; i < w->collected.size(); ++i) {
     const uint32_t src = w->collected_src[i];
     // Copies, not references: a straggling AggEntries reply (responder
     // retry) can push_back into w->collected while ApplyEntries suspends,
     // reallocating the vector under a held reference.
+    const psw::Fingerprint fp = w->collected[i].fp;
     const InodeId dir = w->collected[i].dir;
     if (w->collected[i].entries.empty()) {
       continue;
@@ -124,23 +159,27 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
     const ServerVolatile::MovedDir* tomb =
         v->MovedAway(dir, ctx_.Now(), ctx_.config->moved_tombstone_ttl);
     if (tomb != nullptr) {
-      moved[{src, dir}] = AggDone::MovedRow{src,
-                                            dir,
-                                            tomb->AppliedFor(src, fp),
-                                            tomb->new_fp,
-                                            tomb->new_owner,
-                                            tomb->epoch};
+      moved[{src, fp, dir}] = AggDone::MovedRow{src,
+                                                fp,
+                                                dir,
+                                                tomb->AppliedFor(src, fp),
+                                                tomb->new_fp,
+                                                tomb->new_owner,
+                                                tomb->epoch};
       continue;
     }
-    auto& high = acked[{src, dir}];
+    auto& high = acked[{src, fp, dir}];
     high = std::max(high, max_seq);
   }
 
   // Ack our own change-logs synchronously.
-  auto own = v->ShardFor(fp).changelogs.find(fp);
-  if (own != v->ShardFor(fp).changelogs.end()) {
+  for (psw::Fingerprint fp : fps) {
+    auto own = v->ShardFor(fp).changelogs.find(fp);
+    if (own == v->ShardFor(fp).changelogs.end()) {
+      continue;
+    }
     for (auto& [dir, log] : own->second) {
-      auto it = acked.find({ctx_.config->index, dir});
+      auto it = acked.find({ctx_.config->index, fp, dir});
       if (it == acked.end()) {
         continue;
       }
@@ -151,31 +190,34 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
   }
 
   auto done = std::make_shared<AggDone>();
-  done->fp = fp;
+  done->fps = fps;
   done->agg_seq = w->seq;
   for (const auto& [key, seq] : acked) {
-    if (key.first == ctx_.config->index) {
+    const auto& [src, fp, dir] = key;
+    if (src == ctx_.config->index) {
       continue;
     }
-    done->acked.push_back(AggDone::AckedRow{key.first, key.second, seq});
+    done->acked.push_back(AggDone::AckedRow{src, fp, dir, seq});
   }
   // Moved rows: remote sources re-key on receipt of the AggDone; our own
   // logs for the moved directory re-key in a detached task — the caller may
   // hold this group's change-log lock (rmdir's held_cl_fp), so an inline
   // rebind could self-deadlock on its own lock table.
   for (const auto& [key, row] : moved) {
-    if (key.first != ctx_.config->index) {
+    if (row.src_server != ctx_.config->index) {
       done->moved.push_back(row);
       continue;
     }
     if (rebinder_ != nullptr) {
-      sim::Spawn(rebinder_->RebindMovedLogDetached(v, row.dir, fp, row.new_fp,
-                                                   row.applied_seq,
-                                                   /*from_aggregation=*/true));
+      sim::Spawn(rebinder_->RebindMovedLogDetached(
+          v, row.dir, row.fp, row.new_fp, row.applied_seq,
+          /*from_aggregation=*/true));
     }
   }
-  v->ShardFor(fp).last_agg_complete[fp] = ctx_.Now();
-  v->ShardFor(fp).agg_waits.erase(fp);
+  for (psw::Fingerprint fp : fps) {
+    v->ShardFor(fp).last_agg_complete[fp] = ctx_.Now();
+    v->ShardFor(fp).agg_waits.erase(fp);
+  }
 
   outcome.ok = true;
   if (defer_done) {
@@ -197,10 +239,23 @@ void Aggregation::SendAggDone(net::MsgPtr done_msg) {
   ctx_.rpc->Send(std::move(p));
 }
 
-sim::Task<void> Aggregation::GateAndAggregate(VolPtr v, psw::Fingerprint fp) {
-  auto gate = co_await v->ShardFor(fp).agg_gates.AcquireExclusive(FpKey(fp));
-  if (v->dead) co_return;
-  co_await RunAggregation(v, fp, std::nullopt, 0, "", false);
+sim::Task<void> Aggregation::GateAndAggregate(
+    VolPtr v, std::vector<psw::Fingerprint> fps) {
+  for (size_t first = 0; first < fps.size(); first += kMaxRoundGroups) {
+    const size_t last = std::min(fps.size(), first + kMaxRoundGroups);
+    std::vector<psw::Fingerprint> round(
+        fps.begin() + static_cast<ptrdiff_t>(first),
+        fps.begin() + static_cast<ptrdiff_t>(last));
+    std::vector<LockTable::Handle> gates;
+    for (psw::Fingerprint fp : round) {
+      LockTable::Handle gate =
+          co_await v->ShardFor(fp).agg_gates.AcquireExclusive(FpKey(fp));
+      if (v->dead) co_return;
+      gates.push_back(std::move(gate));
+    }
+    co_await RunAggregation(v, std::move(round), std::nullopt, 0, "", false);
+    if (v->dead) co_return;
+  }
 }
 
 sim::Task<void> Aggregation::ApplyEntries(VolPtr v, InodeId dir, uint32_t src,
@@ -442,7 +497,7 @@ sim::Task<void> Aggregation::ApplyEntries(VolPtr v, InodeId dir, uint32_t src,
 sim::Task<void> Aggregation::HandleAggCollect(net::Packet p, VolPtr v) {
   auto body = p.body;
   const auto* msg = net::MsgAs<AggCollect>(body);
-  if (msg == nullptr) {
+  if (msg == nullptr || msg->fps.empty()) {
     co_return;
   }
   co_await ctx_.cpu->Run(ctx_.costs->op_dispatch);
@@ -454,44 +509,43 @@ sim::Task<void> Aggregation::HandleAggCollect(net::Packet p, VolPtr v) {
     v->inval.Add(msg->invalidate_id, ctx_.Now());
   }
 
-  const psw::Fingerprint fp = msg->fp;
-  auto it = v->ShardFor(fp).agg_sessions.find(fp);
-  if (it == v->ShardFor(fp).agg_sessions.end()) {
+  // One session per group, its shared lock taken in fingerprint order (the
+  // set is ascending). A group whose session is still open from an earlier
+  // attempt keeps it and only adopts the newer seq.
+  std::vector<std::pair<psw::Fingerprint, uint64_t>> opened;
+  for (psw::Fingerprint fp : msg->fps) {
+    auto it = v->ShardFor(fp).agg_sessions.find(fp);
+    if (it != v->ShardFor(fp).agg_sessions.end()) {
+      it->second.seq = std::max(it->second.seq, msg->agg_seq);
+      continue;
+    }
     auto lock =
         co_await v->ShardFor(fp).changelog_locks.AcquireShared(FpKey(fp));
     if (v->dead) co_return;
     // Re-check: a concurrent collect may have created the session while we
     // waited for the lock; keep the first session's lock and drop ours.
     it = v->ShardFor(fp).agg_sessions.find(fp);
-    if (it == v->ShardFor(fp).agg_sessions.end()) {
-      ServerVolatile::AggSession session;
-      session.seq = msg->agg_seq;
-      session.lock = std::move(lock);
-      session.started_at = ctx_.Now();
-      it = v->ShardFor(fp).agg_sessions.emplace(fp, std::move(session)).first;
-      sim::Spawn(ResponderSessionWatchdog(v, fp, msg->agg_seq));
-    } else {
+    if (it != v->ShardFor(fp).agg_sessions.end()) {
       it->second.seq = std::max(it->second.seq, msg->agg_seq);
+      continue;
     }
-  } else {
-    it->second.seq = std::max(it->second.seq, msg->agg_seq);
+    ServerVolatile::AggSession session;
+    session.seq = msg->agg_seq;
+    session.lock = std::move(lock);
+    session.started_at = ctx_.Now();
+    v->ShardFor(fp).agg_sessions.emplace(fp, std::move(session));
+    opened.emplace_back(fp, msg->agg_seq);
+  }
+  if (!opened.empty()) {
+    sim::Spawn(ResponderSessionWatchdog(v, std::move(opened)));
   }
 
   auto reply = std::make_shared<AggEntries>();
-  reply->fp = fp;
+  reply->fp = msg->fps.front();
   reply->agg_seq = msg->agg_seq;
   reply->src_server = ctx_.config->index;
-  auto logs = v->ShardFor(fp).changelogs.find(fp);
-  if (logs != v->ShardFor(fp).changelogs.end()) {
-    for (auto& [dir, log] : logs->second) {
-      if (log.empty()) {
-        continue;
-      }
-      AggEntries::PerDir pd;
-      pd.dir = dir;
-      pd.entries.assign(log.pending().begin(), log.pending().end());
-      reply->dirs.push_back(std::move(pd));
-    }
+  for (psw::Fingerprint fp : msg->fps) {
+    AppendPendingLogs(*v, fp, &reply->dirs);
   }
   net::CallOptions opts;
   opts.timeout = sim::Microseconds(500);
@@ -512,6 +566,11 @@ void Aggregation::HandleAggEntries(net::Packet p, VolPtr v) {
   }
   auto& w = *it->second;
   for (const auto& pd : msg->dirs) {
+    // A straggler of an earlier round led by the same group may carry
+    // groups this round does not cover (nor hold the gates of).
+    if (!std::binary_search(w.fps.begin(), w.fps.end(), pd.fp)) {
+      continue;
+    }
     w.collected.push_back(pd);
     w.collected_src.push_back(msg->src_server);
   }
@@ -524,7 +583,7 @@ void Aggregation::HandleAggEntries(net::Packet p, VolPtr v) {
 }
 
 void Aggregation::HandleAggDone(const AggDone& done, VolPtr v) {
-  // Moved rows first, independent of the session (a watchdog-reaped session
+  // Moved rows first, independent of the sessions (a watchdog-reaped session
   // must not drop a rebind verdict): our collected entries for a renamed-away
   // directory were not acked — re-key them toward the new owner instead.
   if (rebinder_ != nullptr) {
@@ -532,54 +591,58 @@ void Aggregation::HandleAggDone(const AggDone& done, VolPtr v) {
       if (row.src_server != ctx_.config->index) {
         continue;
       }
-      sim::Spawn(rebinder_->RebindMovedLogDetached(v, row.dir, done.fp,
+      sim::Spawn(rebinder_->RebindMovedLogDetached(v, row.dir, row.fp,
                                                    row.new_fp, row.applied_seq,
                                                    /*from_aggregation=*/true));
     }
   }
-  auto it = v->ShardFor(done.fp).agg_sessions.find(done.fp);
-  if (it == v->ShardFor(done.fp).agg_sessions.end()) {
-    return;
-  }
-  if (done.agg_seq < it->second.seq) {
-    return;  // stale completion of an earlier attempt
-  }
-  auto logs = v->ShardFor(done.fp).changelogs.find(done.fp);
-  if (logs != v->ShardFor(done.fp).changelogs.end()) {
-    for (const auto& row : done.acked) {
-      if (row.src_server != ctx_.config->index) {
-        continue;
-      }
-      auto dit = logs->second.find(row.dir);
-      if (dit == logs->second.end()) {
-        continue;
-      }
-      for (uint64_t lsn : dit->second.AckUpTo(row.acked_seq)) {
-        ctx_.durable->wal.MarkApplied(lsn);
-      }
-    }
-  }
-  v->ShardFor(done.fp).agg_sessions.erase(it);  // releases the lock (9a)
-}
-
-sim::Task<void> Aggregation::ResponderSessionWatchdog(VolPtr v,
-                                                      psw::Fingerprint fp,
-                                                      uint64_t seq) {
-  while (true) {
-    co_await sim::Delay(ctx_.sim, ctx_.config->responder_session_timeout);
-    if (v->dead) co_return;
+  for (psw::Fingerprint fp : done.fps) {
     auto it = v->ShardFor(fp).agg_sessions.find(fp);
     if (it == v->ShardFor(fp).agg_sessions.end()) {
-      co_return;  // finished normally
-    }
-    if (it->second.seq != seq) {
-      seq = it->second.seq;  // still live (retries); keep watching
       continue;
     }
-    // The initiator went silent (likely crashed): release the lock. Pending
-    // entries stay; recovery or the next aggregation re-collects them.
-    v->ShardFor(fp).agg_sessions.erase(it);
-    co_return;
+    if (done.agg_seq < it->second.seq) {
+      continue;  // stale completion of an earlier attempt
+    }
+    auto logs = v->ShardFor(fp).changelogs.find(fp);
+    if (logs != v->ShardFor(fp).changelogs.end()) {
+      for (const auto& row : done.acked) {
+        if (row.src_server != ctx_.config->index || row.fp != fp) {
+          continue;
+        }
+        auto dit = logs->second.find(row.dir);
+        if (dit == logs->second.end()) {
+          continue;
+        }
+        for (uint64_t lsn : dit->second.AckUpTo(row.acked_seq)) {
+          ctx_.durable->wal.MarkApplied(lsn);
+        }
+      }
+    }
+    v->ShardFor(fp).agg_sessions.erase(it);  // releases the lock (9a)
+  }
+}
+
+sim::Task<void> Aggregation::ResponderSessionWatchdog(
+    VolPtr v, std::vector<std::pair<psw::Fingerprint, uint64_t>> sessions) {
+  while (!sessions.empty()) {
+    co_await sim::Delay(ctx_.sim, ctx_.config->responder_session_timeout);
+    if (v->dead) co_return;
+    std::erase_if(sessions, [&v](std::pair<psw::Fingerprint, uint64_t>& s) {
+      auto it = v->ShardFor(s.first).agg_sessions.find(s.first);
+      if (it == v->ShardFor(s.first).agg_sessions.end()) {
+        return true;  // finished normally
+      }
+      if (it->second.seq != s.second) {
+        s.second = it->second.seq;  // still live (retries); keep watching
+        return false;
+      }
+      // The initiator went silent (likely crashed): release the lock.
+      // Pending entries stay; recovery or the next aggregation re-collects
+      // them.
+      v->ShardFor(s.first).agg_sessions.erase(it);
+      return true;
+    });
   }
 }
 

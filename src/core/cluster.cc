@@ -329,6 +329,7 @@ void Cluster::Checkpoint() {
 void AccumulateServerStats(ServerStats& total, const ServerStats& st) {
   total.ops += st.ops;
   total.aggregations += st.aggregations;
+  total.agg_groups += st.agg_groups;
   total.agg_retries += st.agg_retries;
   total.entries_applied += st.entries_applied;
   total.entries_deduped += st.entries_deduped;

@@ -107,11 +107,17 @@ struct InsertEnvelope : net::Message {
 };
 
 // --- aggregation (rides the kRemove multicast, §5.2.2 step 5) ---
+//
+// One round covers a set of fingerprint groups (Aggregation::
+// kMaxRoundGroups at most, all in one shard, ascending): the collect carries
+// the set, each responder answers with one AggEntries for all of them, and
+// one AggDone finishes the round. Rows carry their own fp, because hwm lanes
+// and rebinds are per group.
 
 struct AggCollect : net::Message {
   static constexpr uint32_t kType = 103;
   AggCollect() : Message(kType) {}
-  psw::Fingerprint fp = 0;
+  std::vector<psw::Fingerprint> fps;  // the round's groups, ascending
   uint32_t initiator_server = 0;
   net::NodeId initiator_node = net::kInvalidNode;
   uint64_t agg_seq = 0;  // the dirty-set remove sequence number
@@ -121,15 +127,16 @@ struct AggCollect : net::Message {
   InodeId invalidate_id;
 };
 
-// Responder -> initiator: all pending change-log entries in the fingerprint
-// group (RPC; the response is an empty ack).
+// Responder -> initiator: all pending change-log entries in the round's
+// groups (RPC; the response is an empty ack).
 struct AggEntries : net::Message {
   static constexpr uint32_t kType = 104;
   AggEntries() : Message(kType) {}
-  psw::Fingerprint fp = 0;
+  psw::Fingerprint fp = 0;  // the round's first group (finds its AggWait)
   uint64_t agg_seq = 0;
   uint32_t src_server = 0;
   struct PerDir {
+    psw::Fingerprint fp = 0;  // the group the log is keyed under
     InodeId dir;
     std::vector<ChangeLogEntry> entries;
   };
@@ -149,22 +156,25 @@ struct Ack : net::Message {
 struct AggDone : net::Message {
   static constexpr uint32_t kType = 106;
   AggDone() : Message(kType) {}
-  psw::Fingerprint fp = 0;
+  std::vector<psw::Fingerprint> fps;  // the round's groups
   uint64_t agg_seq = 0;
-  // (source server, dir, acked seq): each responder picks out its own rows.
+  // (source server, group, dir, acked seq): each responder picks out its
+  // own rows.
   struct AckedRow {
     uint32_t src_server;
+    psw::Fingerprint fp;
     InodeId dir;
     uint64_t acked_seq;
   };
   std::vector<AckedRow> acked;
-  // Directories in the group that were renamed away (moved tombstone at the
+  // Directories in the round that were renamed away (moved tombstone at the
   // initiator): the collected entries were NOT applied and are NOT acked —
-  // each source trims the pre-rename applied prefix (applied_seq) and
-  // re-keys the rest of its change-log under new_fp toward new_owner
-  // (the aggregation-path analog of PushResp's kMoved section status).
+  // each source trims the pre-rename applied prefix (applied_seq) of its
+  // `fp` log and re-keys the rest under new_fp toward new_owner (the
+  // aggregation-path analog of PushResp's kMoved section status).
   struct MovedRow {
     uint32_t src_server;
+    psw::Fingerprint fp;
     InodeId dir;
     uint64_t applied_seq;  // prefix the old owner applied before the rename
     psw::Fingerprint new_fp;
@@ -384,7 +394,9 @@ struct TrackerOp : net::Message {
   static constexpr uint32_t kType = 120;
   TrackerOp() : Message(kType) {}
   net::DsOp op = net::DsOp::kQuery;
-  psw::Fingerprint fp = 0;
+  psw::Fingerprint fp = 0;  // kQuery / kInsert
+  // kRemove: every group of one aggregation round, removed all or none.
+  std::vector<psw::Fingerprint> fps;
   uint64_t remove_seq = 0;
   uint32_t origin_server = 0;
 };

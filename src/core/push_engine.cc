@@ -237,8 +237,7 @@ sim::Task<void> PushEngine::DrainOwnerImpl(VolPtr v, size_t shard,
                                   std::move(pd.entries), pd.batch_token);
         if (v->dead) co_return;
         acked.push_back(row);
-        v->ShardFor(pd.fp).last_push[pd.fp] = ctx_.Now();
-        ArmOwnerQuietTimer(v, pd.fp);
+        NoteOwnerPush(v, pd.fp);
       }
     } else {
       size_t batch_entries = 0;
@@ -490,8 +489,7 @@ sim::Task<void> PushEngine::ApplySectionTask(
                                         std::move(pd.entries), pd.batch_token);
   if (!v->dead) {
     v->inflight_push_sections--;
-    v->ShardFor(pd.fp).last_push[pd.fp] = ctx_.Now();
-    ArmOwnerQuietTimer(v, pd.fp);
+    NoteOwnerPush(v, pd.fp);
   }
   // Unconditional, dead or not: HandlePush's join must resolve so its frame
   // (and the captured shared state) unwinds.
@@ -724,35 +722,53 @@ sim::Task<void> PushEngine::EagerRebindMoved(VolPtr v, InodeId dir,
                       ctx_.OwnerOf(old_fp));
 }
 
-void PushEngine::ArmOwnerQuietTimer(VolPtr v, psw::Fingerprint fp) {
+void PushEngine::NoteOwnerPush(VolPtr v, psw::Fingerprint fp) {
   if (!ctx_.config->async_updates) {
     return;  // synchronous mode never defers
   }
-  if (v->ShardFor(fp).quiet_timer_armed.insert(fp).second) {
-    sim::Spawn(OwnerQuietTimer(v, fp));
+  const size_t shard = ShardIndexForFp(fp, v->num_shards());
+  ServerShard& sh = v->ShardAt(shard);
+  sh.last_push[fp] = ctx_.Now();
+  if (!sh.quiet_sweep_armed) {
+    sh.quiet_sweep_armed = true;
+    sim::Spawn(QuietSweep(v, shard));
   }
 }
 
-sim::Task<void> PushEngine::OwnerQuietTimer(VolPtr v, psw::Fingerprint fp) {
+sim::Task<void> PushEngine::QuietSweep(VolPtr v, size_t shard) {
   while (true) {
     co_await sim::Delay(ctx_.sim, ctx_.config->owner_quiet_period);
     if (v->dead) {
-      // Dead incarnation: unwind the armed marker so the state carries no
-      // phantom timer (the replacement incarnation starts fresh anyway).
-      v->ShardFor(fp).quiet_timer_armed.erase(fp);
+      // Dead incarnation: drop the sweep's state so it carries no phantom
+      // deadlines (the replacement incarnation starts fresh anyway).
+      v->ShardAt(shard).last_push.clear();
+      v->ShardAt(shard).quiet_sweep_armed = false;
       co_return;
     }
-    auto it = v->ShardFor(fp).last_push.find(fp);
-    const int64_t last =
-        it == v->ShardFor(fp).last_push.end() ? 0 : it->second;
-    if (ctx_.Now() - last >= ctx_.config->owner_quiet_period) {
-      break;
+    // Every group quiet for a full period leaves the map and joins one
+    // aggregation round (§5.3): the next read finds it in normal state, and
+    // the round's one collect per peer amortizes the broadcast over the set.
+    std::vector<psw::Fingerprint> quiet;
+    auto& last_push = v->ShardAt(shard).last_push;
+    for (auto it = last_push.begin(); it != last_push.end();) {
+      if (ctx_.Now() - it->second >= ctx_.config->owner_quiet_period) {
+        quiet.push_back(it->first);
+        it = last_push.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    const bool idle = last_push.empty();
+    if (idle) {
+      v->ShardAt(shard).quiet_sweep_armed = false;
+    }
+    if (!quiet.empty()) {
+      sim::Spawn(agg_.GateAndAggregate(v, std::move(quiet)));
+    }
+    if (idle) {
+      co_return;
     }
   }
-  v->ShardFor(fp).quiet_timer_armed.erase(fp);
-  // Quiet period elapsed: aggregate proactively so the next read finds the
-  // directory in normal state (§5.3).
-  co_await agg_.GateAndAggregate(v, fp);
 }
 
 }  // namespace switchfs::core

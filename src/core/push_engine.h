@@ -3,6 +3,13 @@
 // accumulates or a log has been idle; the owner aggregates after a quiet
 // period so the next read finds the directory in normal state.
 //
+// The quiet period is kept by one sweep per owner shard: each shard maps
+// every group pushed to since its last aggregation to its last push time,
+// and a sweep coroutine (armed while the map is non-empty) wakes every
+// owner_quiet_period, takes every group quiet for that long out of the map,
+// and aggregates them together — one Aggregation round per kMaxRoundGroups
+// groups, one collect per peer.
+//
 // Pushes are scheduled per (SHARD, OWNER), not per directory: every source
 // server keeps one outbound queue per owner server in each of its shards
 // (ServerShard::pushers) and a drain coroutine per queue coalesces all ready
@@ -63,9 +70,10 @@ class PushEngine {
 
   // ---- owner side ----
   sim::Task<void> HandlePush(net::Packet p, VolPtr v);
-  // Arms the quiet-period timer that triggers a proactive aggregation once
-  // pushes stop arriving for owner_quiet_period.
-  void ArmOwnerQuietTimer(VolPtr v, psw::Fingerprint fp);
+  // Records a push applied for group `fp` and arms its shard's quiet sweep,
+  // which aggregates the group once pushes stop arriving for
+  // owner_quiet_period.
+  void NoteOwnerPush(VolPtr v, psw::Fingerprint fp);
 
   // ---- moved_fp rebind (§5.2 rename race, source side) ----
   // Re-keys `dir`'s change-log from `old_fp` to `new_fp` after a kMoved push
@@ -104,7 +112,7 @@ class PushEngine {
                                  bool to_completion);
   sim::Task<void> OwnerIdleTimer(VolPtr v, size_t shard, uint32_t owner);
   sim::Task<void> RetryTimer(VolPtr v, size_t shard, uint32_t owner);
-  sim::Task<void> OwnerQuietTimer(VolPtr v, psw::Fingerprint fp);
+  sim::Task<void> QuietSweep(VolPtr v, size_t shard);
   // Owner-side application of one pushed section; the returned row carries
   // the seq the source may trim to. For a directory that no longer exists:
   // a live moved tombstone yields a kMoved rebind verdict; a genuinely

@@ -431,7 +431,8 @@ sim::Task<void> RenameCoordinator::HandleAggregateReq(net::Packet p, VolPtr v) {
   const auto* msg = static_cast<const AggregateReq*>(p.body.get());
   co_await ctx_.cpu->Run(ctx_.costs->op_dispatch);
   if (v->dead) co_return;
-  co_await agg_.GateAndAggregate(v, msg->fp);
+  std::vector<psw::Fingerprint> round(1, msg->fp);
+  co_await agg_.GateAndAggregate(v, std::move(round));
   if (v->dead) co_return;
   ctx_.rpc->Respond(p, net::MakeMsg<Ack>());
 }

@@ -780,7 +780,9 @@ sim::Task<LockTable::Handle> SwitchServer::GateDirRead(
       need_agg = last == complete.end() || last->second <= observed_at;
     }
     if (need_agg) {
-      co_await agg_.RunAggregation(v, dir_fp, std::nullopt, 0, "", false);
+      std::vector<psw::Fingerprint> round(1, dir_fp);
+      co_await agg_.RunAggregation(v, std::move(round), std::nullopt, 0, "",
+                                   false);
       if (v->dead) co_return LockTable::Handle();
     }
     xgate.Release();
@@ -1551,8 +1553,10 @@ sim::Task<void> SwitchServer::HandleRmdir(net::Packet p, VolPtr v) {
 
   // Steps 4-7: aggregate the target with invalidation, deferring the
   // responders' release until after commit (Fig 6 step 12).
-  auto outcome = co_await agg_.RunAggregation(v, target_fp, attr.id, target_fp,
-                                              ikey, /*defer_done=*/true);
+  std::vector<psw::Fingerprint> round(1, target_fp);
+  auto outcome = co_await agg_.RunAggregation(v, std::move(round), attr.id,
+                                              target_fp, ikey,
+                                              /*defer_done=*/true);
   if (v->dead) co_return;
 
   co_await cpu_.Run(costs_->kv_get);
@@ -2097,22 +2101,27 @@ sim::Task<void> SwitchServer::FlushAllChangeLogs() {
 
 sim::Task<void> SwitchServer::AggregateAllOwnedDirs() {
   VolPtr v = vol_;
-  std::vector<psw::Fingerprint> fps;
+  // Owned groups by shard, ascending within each: a round covers groups of
+  // one shard, so each shard's groups go through capped set rounds.
+  std::vector<std::vector<psw::Fingerprint>> by_shard(v->num_shards());
   v->kv.ScanPrefix(kDirIndexPrefix,
                    [&](const std::string&, const std::string& value) {
                      std::string ikey;
                      psw::Fingerprint fp = 0;
                      DecodeDirIndex(value, &ikey, &fp);
-                     fps.push_back(fp);
+                     if (IsOwner(fp)) {
+                       by_shard[ShardIndexForFp(fp, by_shard.size())]
+                           .push_back(fp);
+                     }
                      return true;
                    });
-  std::sort(fps.begin(), fps.end());
-  fps.erase(std::unique(fps.begin(), fps.end()), fps.end());
-  for (psw::Fingerprint fp : fps) {
-    if (!IsOwner(fp)) {
+  for (std::vector<psw::Fingerprint>& fps : by_shard) {
+    std::sort(fps.begin(), fps.end());
+    fps.erase(std::unique(fps.begin(), fps.end()), fps.end());
+    if (fps.empty()) {
       continue;
     }
-    co_await agg_.GateAndAggregate(v, fp);
+    co_await agg_.GateAndAggregate(v, std::move(fps));
     if (v->dead) co_return;
   }
 }

@@ -206,7 +206,10 @@ struct DurableState {
 // Protocol counters surfaced to tests and benches.
 struct ServerStats {
   uint64_t ops = 0;
+  // Aggregation rounds, and the fingerprint groups they cleared (a round
+  // covers a set of groups): agg_groups / aggregations is groups per round.
   uint64_t aggregations = 0;
+  uint64_t agg_groups = 0;
   uint64_t agg_retries = 0;
   uint64_t entries_applied = 0;
   uint64_t entries_deduped = 0;

@@ -112,8 +112,10 @@ inline size_t ShardIndexForKey(std::string_view key, size_t num_shards) {
 // incarnations of the same server (tags are never reused).
 int NextShardDomainTag();
 
-// Aggregation initiator state (one in flight per fingerprint group).
+// Aggregation initiator state of one round, registered in agg_waits under
+// every group of the round (one round in flight per group).
 struct AggWait {
+  std::vector<psw::Fingerprint> fps;  // the round's groups, ascending
   uint64_t seq = 0;
   std::set<uint32_t> pending;  // server indices yet to reply for `seq`
   std::vector<AggEntries::PerDir> collected;
@@ -121,7 +123,8 @@ struct AggWait {
   std::shared_ptr<sim::OneShot<bool>> slot;  // armed per attempt
 };
 
-// Aggregation responder state (holds the snapshot-side change-log lock).
+// Aggregation responder state of one group (holds the snapshot-side
+// change-log lock).
 struct AggSession {
   uint64_t seq = 0;
   LockTable::Handle lock;
@@ -190,9 +193,11 @@ struct SFS_SUSPENSION_SHARED ServerShard {
   std::unordered_map<psw::Fingerprint, AggSession> agg_sessions;
   // Owner-side: completion time of the last aggregation per fingerprint.
   std::unordered_map<psw::Fingerprint, int64_t> last_agg_complete;
-  // Owner-side: last push arrival per fingerprint (quiet-period timer).
-  std::unordered_map<psw::Fingerprint, int64_t> last_push;
-  std::unordered_set<psw::Fingerprint> quiet_timer_armed;
+  // Owner-side quiet sweep (§5.3): last push arrival per group not yet
+  // aggregated since. The sweep erases the groups it aggregates, and it is
+  // armed while the map is non-empty.
+  std::map<psw::Fingerprint, int64_t> last_push;
+  bool quiet_sweep_armed = false;
   // Owner-server tracker mode: local scattered set.
   std::unordered_set<psw::Fingerprint> owner_scattered;
   std::map<uint32_t, OwnerPusher> pushers;  // key: owner server index

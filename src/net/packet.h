@@ -12,6 +12,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 namespace switchfs::net {
 
@@ -32,6 +33,10 @@ enum class DsOp : uint8_t {
 struct DsHeader {
   DsOp op = DsOp::kNone;
   uint64_t fingerprint = 0;  // 49 significant bits (17-bit index + 32-bit tag)
+  // kRemove of a multi-group aggregation round: every fingerprint the round
+  // clears (`fingerprint` holds the first). Null on every other packet, so
+  // copying a header never copies a list.
+  std::shared_ptr<const std::vector<uint64_t>> groups;
   // Remove-request sequence number, per sending server (§5.4.1): the switch
   // only honors a remove whose seq exceeds all previously seen from `origin`.
   uint64_t remove_seq = 0;

@@ -1,7 +1,9 @@
 #include "src/pswitch/data_plane.h"
 
 #include <cassert>
+#include <span>
 #include <utility>
+#include <vector>
 
 namespace switchfs::psw {
 
@@ -191,8 +193,31 @@ std::vector<net::Packet> DataPlane::Process(net::Packet p) {
       break;
     }
     case net::DsOp::kRemove: {
-      const bool executed =
-          ds.Remove(fp, p.ds.origin, p.ds.remove_seq);
+      // One aggregation round's groups: each home pipe checks the seq once
+      // and removes all of its groups or none. The collect goes out if any
+      // pipe executed, so no group is ever cleared without being collected.
+      const std::span<const Fingerprint> groups =
+          p.ds.groups != nullptr ? std::span<const Fingerprint>(*p.ds.groups)
+                                 : std::span<const Fingerprint>(&fp, 1);
+      bool executed = false;
+      std::vector<Fingerprint> in_pipe;
+      for (int pipe = 0; pipe < config_.num_pipes; ++pipe) {
+        in_pipe.clear();
+        for (Fingerprint g : groups) {
+          if (HomePipe(g) == pipe) {
+            in_pipe.push_back(g);
+          }
+        }
+        if (in_pipe.empty()) {
+          continue;
+        }
+        if (pipe != PipeOfNode(p.src)) {
+          last_crossed_pipes_ = true;
+        }
+        executed =
+            pipes_[pipe]->Remove(in_pipe, p.ds.origin, p.ds.remove_seq) ||
+            executed;
+      }
       if (!executed) {
         stats_.stale_removes++;
         break;  // stale duplicate: no multicast, no state change (§5.4.1)

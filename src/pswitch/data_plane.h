@@ -10,7 +10,10 @@
 //    parent directory's owner) for the synchronous fallback.
 //  * kRemove: executed with per-origin sequence-number protection, then the
 //    packet is multicast to all metadata servers except the origin
-//    (aggregation request, §5.2.2 step 5). Stale removes are dropped.
+//    (aggregation request, §5.2.2 step 5). Stale removes are dropped. A
+//    remove may carry every group of one aggregation round (DsHeader::
+//    groups): each home pipe checks the seq once for its share of the list,
+//    and the packet multicasts if at least one pipe executed.
 //
 // Multi-pipe layout (§6.2): pipes do not share state, so the dirty set is
 // sharded by fingerprint prefix across pipes; a packet entering through a

@@ -43,14 +43,17 @@ bool DirtySet::Insert(Fingerprint fp) {
   return inserted;
 }
 
-bool DirtySet::Remove(Fingerprint fp, uint32_t origin_server, uint64_t seq) {
+bool DirtySet::Remove(std::span<const Fingerprint> fps, uint32_t origin_server,
+                      uint64_t seq) {
   uint64_t& highest = remove_seq_[origin_server];
   if (seq <= highest) {
     stale_removes_++;
     return false;
   }
   highest = seq;
-  RemoveUnchecked(fp);
+  for (Fingerprint fp : fps) {
+    RemoveUnchecked(fp);
+  }
   return true;
 }
 

@@ -13,11 +13,14 @@
 // Duplicate-remove protection (§5.4.1): each remove request carries a
 // sequence number; the switch tracks the highest sequence seen per sending
 // server and ignores stale removes, so a delayed duplicate cannot evict a
-// fingerprint inserted after its aggregation completed.
+// fingerprint inserted after its aggregation completed. A remove carries
+// the whole group list of one aggregation round: the seq is checked once
+// and then every listed group is removed, or none of them.
 #ifndef SRC_PSWITCH_DIRTY_SET_H_
 #define SRC_PSWITCH_DIRTY_SET_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -43,9 +46,15 @@ class DirtySet {
   // synchronous-update fallback (§5.2.1).
   bool Insert(Fingerprint fp);
 
-  // Applies a remove from `origin_server` with sequence number `seq`.
-  // Returns true if the remove was executed, false if it was stale (§5.4.1).
-  bool Remove(Fingerprint fp, uint32_t origin_server, uint64_t seq);
+  // Applies a remove of `fps` from `origin_server` with sequence number
+  // `seq`: one check of `seq` against the origin's high-water mark, then all
+  // of `fps` are removed. Returns true if the remove was executed, false if
+  // it was stale and nothing was removed (§5.4.1).
+  bool Remove(std::span<const Fingerprint> fps, uint32_t origin_server,
+              uint64_t seq);
+  bool Remove(Fingerprint fp, uint32_t origin_server, uint64_t seq) {
+    return Remove(std::span<const Fingerprint>(&fp, 1), origin_server, seq);
+  }
 
   // Unconditional remove without sequence bookkeeping (tests / recovery).
   void RemoveUnchecked(Fingerprint fp);

@@ -31,14 +31,12 @@ sim::Task<InsertResult> DedicatedTracker::Insert(core::ServerContext& ctx,
   co_return InsertResult::kPublished;
 }
 
-sim::Task<void> DedicatedTracker::RemoveAndMulticast(core::ServerContext& ctx,
-                                                     core::VolPtr v,
-                                                     psw::Fingerprint fp,
-                                                     uint64_t seq,
-                                                     net::Packet rm) {
+sim::Task<void> DedicatedTracker::RemoveAndMulticast(
+    core::ServerContext& ctx, core::VolPtr v,
+    std::vector<psw::Fingerprint> fps, uint64_t seq, net::Packet rm) {
   auto op = std::make_shared<core::TrackerOp>();
   op->op = net::DsOp::kRemove;
-  op->fp = fp;
+  op->fps = std::move(fps);
   op->remove_seq = seq;
   op->origin_server = ctx.config->index;
   auto r = co_await ctx.rpc->Call(server_->node_id(), op);

@@ -9,6 +9,8 @@
 #ifndef SRC_TRACKER_DEDICATED_TRACKER_H_
 #define SRC_TRACKER_DEDICATED_TRACKER_H_
 
+#include <vector>
+
 #include "src/tracker/dirty_tracker.h"
 #include "src/tracker/tracker_server.h"
 
@@ -32,8 +34,8 @@ class DedicatedTracker : public DirtyTracker {
                                  const net::Packet* client_req,
                                  net::MsgPtr client_resp) override;
   sim::Task<void> RemoveAndMulticast(core::ServerContext& ctx, core::VolPtr v,
-                                     psw::Fingerprint fp, uint64_t seq,
-                                     net::Packet rm) override;
+                                     std::vector<psw::Fingerprint> fps,
+                                     uint64_t seq, net::Packet rm) override;
   bool ReadScattered(const core::ServerContext& ctx,
                      const core::ServerVolatile& v, const net::Packet& p,
                      const core::MetaReq& req,

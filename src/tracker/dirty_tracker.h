@@ -9,9 +9,10 @@
 //                   the parent scattered and wait for the acknowledgement
 //                   (or the overflow signal that forces a synchronous apply).
 //   RemoveAndMulticast
-//                   §5.2.2 step 5: atomically-enough remove the fingerprint
-//                   (with the §5.4.1 sequence number) and multicast the
-//                   aggregation collect request to the server group.
+//                   §5.2.2 step 5: atomically-enough remove the round's
+//                   fingerprints (with the §5.4.1 sequence number, checked
+//                   once for the whole list) and multicast the aggregation
+//                   collect request to the server group.
 //   ReadScattered   §5.2.2 step 1: owner-side test "is this directory in
 //                   scattered state?" for an incoming directory read.
 //   ClientPreRead   §4.2: what a client does before a directory read — stamp
@@ -23,6 +24,8 @@
 // and volatile state, so one tracker object serves all servers and clients.
 #ifndef SRC_TRACKER_DIRTY_TRACKER_H_
 #define SRC_TRACKER_DIRTY_TRACKER_H_
+
+#include <vector>
 
 #include "src/core/messages.h"
 #include "src/core/server_context.h"
@@ -63,14 +66,15 @@ class DirtyTracker {
                                          const net::Packet* client_req,
                                          net::MsgPtr client_resp) = 0;
 
-  // Removes `fp` with remove-sequence `seq` (§5.4.1 duplicate protection)
-  // and sends the prepared aggregation multicast `rm` (dst/body already set;
-  // implementations stamp the dirty-set header or contact the tracker
-  // service first, then send).
+  // Removes every group in `fps` (one aggregation round, ascending, never
+  // empty) with remove-sequence `seq` (§5.4.1 duplicate protection: a stale
+  // seq removes none of them) and sends the prepared aggregation multicast
+  // `rm` (dst/body already set; implementations stamp the dirty-set header
+  // or contact the tracker service first, then send).
   virtual sim::Task<void> RemoveAndMulticast(core::ServerContext& ctx,
                                              core::VolPtr v,
-                                             psw::Fingerprint fp, uint64_t seq,
-                                             net::Packet rm) = 0;
+                                             std::vector<psw::Fingerprint> fps,
+                                             uint64_t seq, net::Packet rm) = 0;
 
   // Owner-side scattered test for the directory read in packet `p`.
   virtual bool ReadScattered(const core::ServerContext& ctx,

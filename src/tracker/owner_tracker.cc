@@ -27,12 +27,13 @@ sim::Task<InsertResult> OwnerTracker::Insert(core::ServerContext& ctx,
   co_return InsertResult::kPublished;
 }
 
-sim::Task<void> OwnerTracker::RemoveAndMulticast(core::ServerContext& ctx,
-                                                 core::VolPtr v,
-                                                 psw::Fingerprint fp,
-                                                 uint64_t seq, net::Packet rm) {
+sim::Task<void> OwnerTracker::RemoveAndMulticast(
+    core::ServerContext& ctx, core::VolPtr v,
+    std::vector<psw::Fingerprint> fps, uint64_t seq, net::Packet rm) {
   (void)seq;
-  v->ShardFor(fp).owner_scattered.erase(fp);
+  for (psw::Fingerprint fp : fps) {
+    v->ShardFor(fp).owner_scattered.erase(fp);
+  }
   rm.ds.origin = ctx.node_id();
   ctx.rpc->Send(std::move(rm));
   co_return;

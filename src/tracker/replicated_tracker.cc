@@ -170,14 +170,12 @@ sim::Task<InsertResult> ReplicatedTracker::Insert(core::ServerContext& ctx,
   co_return InsertResult::kPublished;
 }
 
-sim::Task<void> ReplicatedTracker::RemoveAndMulticast(core::ServerContext& ctx,
-                                                      core::VolPtr v,
-                                                      psw::Fingerprint fp,
-                                                      uint64_t seq,
-                                                      net::Packet rm) {
+sim::Task<void> ReplicatedTracker::RemoveAndMulticast(
+    core::ServerContext& ctx, core::VolPtr v,
+    std::vector<psw::Fingerprint> fps, uint64_t seq, net::Packet rm) {
   auto op = std::make_shared<core::TrackerOp>();
   op->op = net::DsOp::kRemove;
-  op->fp = fp;
+  op->fps = std::move(fps);
   op->remove_seq = seq;
   op->origin_server = ctx.config->index;
   // ok=false without chain_fault means the remove was stale — either way

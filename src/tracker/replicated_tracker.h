@@ -61,8 +61,8 @@ class SFS_SUSPENSION_SHARED ReplicatedTracker : public DirtyTracker {
                                  const net::Packet* client_req,
                                  net::MsgPtr client_resp) override;
   sim::Task<void> RemoveAndMulticast(core::ServerContext& ctx, core::VolPtr v,
-                                     psw::Fingerprint fp, uint64_t seq,
-                                     net::Packet rm) override;
+                                     std::vector<psw::Fingerprint> fps,
+                                     uint64_t seq, net::Packet rm) override;
   bool ReadScattered(const core::ServerContext& ctx,
                      const core::ServerVolatile& v, const net::Packet& p,
                      const core::MetaReq& req,

@@ -78,13 +78,16 @@ sim::Task<InsertResult> SwitchTracker::Insert(core::ServerContext& ctx,
   co_return InsertResult::kDelivered;
 }
 
-sim::Task<void> SwitchTracker::RemoveAndMulticast(core::ServerContext& ctx,
-                                                  core::VolPtr v,
-                                                  psw::Fingerprint fp,
-                                                  uint64_t seq, net::Packet rm) {
+sim::Task<void> SwitchTracker::RemoveAndMulticast(
+    core::ServerContext& ctx, core::VolPtr v,
+    std::vector<psw::Fingerprint> fps, uint64_t seq, net::Packet rm) {
   (void)v;
   rm.ds.op = net::DsOp::kRemove;
-  rm.ds.fingerprint = fp;
+  rm.ds.fingerprint = fps.front();
+  if (fps.size() > 1) {
+    rm.ds.groups =
+        std::make_shared<const std::vector<psw::Fingerprint>>(std::move(fps));
+  }
   rm.ds.remove_seq = seq;
   rm.ds.origin = ctx.node_id();
   ctx.rpc->Send(std::move(rm));

@@ -7,6 +7,8 @@
 #ifndef SRC_TRACKER_SWITCH_TRACKER_H_
 #define SRC_TRACKER_SWITCH_TRACKER_H_
 
+#include <vector>
+
 #include "src/tracker/dirty_tracker.h"
 
 namespace switchfs::tracker {
@@ -20,8 +22,8 @@ class SwitchTracker : public DirtyTracker {
                                  const net::Packet* client_req,
                                  net::MsgPtr client_resp) override;
   sim::Task<void> RemoveAndMulticast(core::ServerContext& ctx, core::VolPtr v,
-                                     psw::Fingerprint fp, uint64_t seq,
-                                     net::Packet rm) override;
+                                     std::vector<psw::Fingerprint> fps,
+                                     uint64_t seq, net::Packet rm) override;
   bool ReadScattered(const core::ServerContext& ctx,
                      const core::ServerVolatile& v, const net::Packet& p,
                      const core::MetaReq& req,

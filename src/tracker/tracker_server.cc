@@ -26,7 +26,7 @@ sim::Task<void> TrackerServer::Handle(net::Packet p) {
       resp->ok = !force_overflow_ && dirty_set_.Insert(op->fp);
       break;
     case net::DsOp::kRemove:
-      resp->ok = dirty_set_.Remove(op->fp, op->origin_server, op->remove_seq);
+      resp->ok = dirty_set_.Remove(op->fps, op->origin_server, op->remove_seq);
       break;
     default:
       break;  // unknown op: ok stays false

@@ -4,7 +4,9 @@
 // the packet-level data plane behaviour.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "src/common/random.h"
@@ -139,6 +141,29 @@ TEST(DirtySet, RemoveSequencesArePerOrigin) {
   ASSERT_TRUE(ds.Insert(fp));
   // Another origin with a small seq is not stale.
   EXPECT_TRUE(ds.Remove(fp, /*origin=*/2, /*seq=*/1));
+}
+
+// One aggregation round removes its whole group list under one seq: the
+// seq is checked once, then every group goes — or, if stale, none does.
+TEST(DirtySet, SetRemoveChecksTheSeqOnceForTheWholeList) {
+  DirtySet ds(SmallConfig());
+  const std::vector<Fingerprint> fps = {MakeFingerprint(2, 50),
+                                        MakeFingerprint(3, 51),
+                                        MakeFingerprint(4, 52)};
+  for (Fingerprint fp : fps) {
+    ASSERT_TRUE(ds.Insert(fp));
+  }
+  EXPECT_TRUE(ds.Remove(std::span(fps.data(), 2), /*origin=*/1, /*seq=*/7));
+  EXPECT_FALSE(ds.Query(fps[0]));
+  EXPECT_FALSE(ds.Query(fps[1]));
+  EXPECT_TRUE(ds.Query(fps[2])) << "a group outside the list was removed";
+  ASSERT_TRUE(ds.Insert(fps[0]));
+  // A delayed duplicate with the same seq refuses the whole list.
+  EXPECT_FALSE(ds.Remove(fps, /*origin=*/1, /*seq=*/7));
+  for (Fingerprint fp : {fps[0], fps[2]}) {
+    EXPECT_TRUE(ds.Query(fp));
+  }
+  EXPECT_EQ(ds.stale_removes(), 1u);
 }
 
 TEST(DirtySet, ClearWipesEverything) {
@@ -278,6 +303,92 @@ TEST(DataPlane, StaleRemoveIsDroppedEntirely) {
   net::Packet stale = rm;  // duplicate with the same seq
   EXPECT_TRUE(dp.Process(stale).empty());
   EXPECT_TRUE(dp.Contains(fp));  // the later insert survived
+  EXPECT_EQ(dp.stats().stale_removes, 1u);
+}
+
+// Fingerprints of SmallPlane()'s two pipes: `count` distinct ones whose
+// home pipe is `pipe`.
+std::vector<Fingerprint> FingerprintsInPipe(const DataPlane& dp, int pipe,
+                                            int count) {
+  std::vector<Fingerprint> out;
+  Rng rng(17);
+  while (static_cast<int>(out.size()) < count) {
+    const Fingerprint fp = FingerprintFromHash(rng.Next());
+    if (dp.HomePipe(fp) == pipe) {
+      out.push_back(fp);
+    }
+  }
+  return out;
+}
+
+net::Packet SetRemove(const std::vector<Fingerprint>& fps, net::NodeId src,
+                      uint64_t seq) {
+  net::Packet rm = DsPacket(net::DsOp::kRemove, fps.front(), src,
+                            net::kServerMulticast);
+  rm.ds.groups = std::make_shared<const std::vector<uint64_t>>(fps);
+  rm.ds.remove_seq = seq;
+  return rm;
+}
+
+// A set remove spanning both pipes executes in each and multicasts the
+// collect once.
+TEST(DataPlane, SetRemoveSpanningPipesExecutesAndMulticastsOnce) {
+  DataPlane dp(SmallPlane());
+  dp.SetServerGroup({10, 11, 12, 13});
+  std::vector<Fingerprint> fps = FingerprintsInPipe(dp, 0, 2);
+  for (Fingerprint fp : FingerprintsInPipe(dp, 1, 2)) {
+    fps.push_back(fp);
+  }
+  for (Fingerprint fp : fps) {
+    dp.Process(DsPacket(net::DsOp::kInsert, fp, 10, 9));
+  }
+  auto out = dp.Process(SetRemove(fps, 10, 1));
+  ASSERT_EQ(out.size(), 3u);  // one collect per other server
+  std::set<net::NodeId> dsts;
+  for (const auto& p : out) {
+    dsts.insert(p.dst);
+  }
+  EXPECT_EQ(dsts, (std::set<net::NodeId>{11, 12, 13}));
+  for (Fingerprint fp : fps) {
+    EXPECT_FALSE(dp.Contains(fp));
+  }
+  EXPECT_EQ(dp.stats().removes, 1u);
+}
+
+// A pipe that already saw the round's seq refuses its whole share of the
+// list; the other pipe still executes, so the collect still goes out.
+TEST(DataPlane, StaleSeqIsRefusedForAPipesWholeGroupList) {
+  DataPlane dp(SmallPlane());
+  dp.SetServerGroup({10, 11});
+  const std::vector<Fingerprint> pipe0 = FingerprintsInPipe(dp, 0, 2);
+  const std::vector<Fingerprint> pipe1 = FingerprintsInPipe(dp, 1, 1);
+  // Pipe 0 has seen seq 5 from origin 10; pipe 1 has not.
+  EXPECT_EQ(dp.Process(SetRemove({pipe0[0]}, 10, 5)).size(), 1u);
+  std::vector<Fingerprint> fps = pipe0;
+  fps.push_back(pipe1[0]);
+  for (Fingerprint fp : fps) {
+    dp.Process(DsPacket(net::DsOp::kInsert, fp, 10, 9));
+  }
+  EXPECT_EQ(dp.Process(SetRemove(fps, 10, 5)).size(), 1u);
+  EXPECT_TRUE(dp.Contains(pipe0[0]));
+  EXPECT_TRUE(dp.Contains(pipe0[1]));
+  EXPECT_FALSE(dp.Contains(pipe1[0]));
+}
+
+// When every pipe refuses, no group is cleared and no collect goes out.
+TEST(DataPlane, SetRemoveRefusedByEveryPipeSendsNoCollect) {
+  DataPlane dp(SmallPlane());
+  dp.SetServerGroup({10, 11});
+  std::vector<Fingerprint> fps = FingerprintsInPipe(dp, 0, 2);
+  fps.push_back(FingerprintsInPipe(dp, 1, 1)[0]);
+  EXPECT_EQ(dp.Process(SetRemove(fps, 10, 5)).size(), 1u);
+  for (Fingerprint fp : fps) {
+    dp.Process(DsPacket(net::DsOp::kInsert, fp, 10, 9));
+  }
+  EXPECT_TRUE(dp.Process(SetRemove(fps, 10, 5)).empty());
+  for (Fingerprint fp : fps) {
+    EXPECT_TRUE(dp.Contains(fp));
+  }
   EXPECT_EQ(dp.stats().stale_removes, 1u);
 }
 

@@ -231,6 +231,7 @@ class PushHarness {
     VolPtr vol;
     std::unique_ptr<Aggregation> agg;
     std::unique_ptr<PushEngine> push;
+    int agg_collects = 0;  // AggCollect packets received
   };
 
   PushHarness()
@@ -276,6 +277,7 @@ class PushHarness {
     }
     switch (p.body->type) {
       case AggCollect::kType:
+        n.agg_collects++;
         sim::Spawn(n.agg->HandleAggCollect(std::move(p), n.vol));
         break;
       case AggDone::kType:
@@ -727,7 +729,8 @@ TEST(PushEngineModule, AggregationMovedRowRebindsCollectedEntries) {
     e.wal_lsn = h.src.durable.wal.Append(1, "op");
     clog.Restore(std::move(e));
   }
-  sim::Spawn(h.owner.agg->GateAndAggregate(h.owner.vol, old_fp));
+  sim::Spawn(h.owner.agg->GateAndAggregate(
+      h.owner.vol, std::vector<psw::Fingerprint>(1, old_fp)));
   h.sim.Run();
 
   EXPECT_EQ(h.src.stats.agg_rebinds, 1u);
@@ -745,6 +748,121 @@ TEST(PushEngineModule, AggregationMovedRowRebindsCollectedEntries) {
       EXPECT_TRUE(r.applied);
     }
   }
+}
+
+// Commits `count` WAL-backed creates to `n`'s change-log for (fp, dir)
+// without scheduling a push — pending work only an aggregation collects.
+// Names carry the server index, so two servers' creates never collide.
+void AppendPending(PushHarness::Node& n, psw::Fingerprint fp,
+                   const InodeId& dir, int count) {
+  ChangeLog& clog = n.vol->GetChangeLog(fp, dir);
+  for (int i = 0; i < count; ++i) {
+    const uint64_t seq = clog.last_appended_seq() + 1;
+    ChangeLogEntry e = MakeEntry(
+        seq, "s" + std::to_string(n.config.index) + "e" + std::to_string(seq),
+        OpType::kCreate, 100 + static_cast<int>(seq));
+    e.wal_lsn = n.durable.wal.Append(1, "op");
+    clog.Restore(std::move(e));
+  }
+}
+
+// §5.3 batching: N groups that go quiet in one owner shard are aggregated
+// by ONE round — one AggCollect reaches the peer, every dirty bit is
+// cleared, and each source's logs are applied and acked per group.
+TEST(AggregationModule, QuietGroupsOfOneShardShareOneRound) {
+  PushHarness h;
+  const InodeId parent = RootId();
+  constexpr int kGroups = 5;
+  std::vector<psw::Fingerprint> fps;
+  std::vector<InodeId> dirs;
+  std::vector<std::string> names;
+  for (int d = 0; d < kGroups; ++d) {
+    const std::string name = h.NameOwnedBy(parent, 1, "q" + std::to_string(d));
+    names.push_back(name);
+    fps.push_back(FingerprintOf(parent, name));
+    dirs.push_back(h.SeedDirAt(h.owner, parent, name, 900 + d));
+    AppendPending(h.src, fps[d], dirs[d], 2);
+    AppendPending(h.owner, fps[d], dirs[d], 1);
+    h.owner.vol->ShardFor(fps[d]).owner_scattered.insert(fps[d]);
+    h.owner.push->NoteOwnerPush(h.owner.vol, fps[d]);
+  }
+  h.sim.Run();
+
+  EXPECT_EQ(h.owner.stats.aggregations, 1u);
+  EXPECT_EQ(h.owner.stats.agg_groups, static_cast<uint64_t>(kGroups));
+  EXPECT_EQ(h.src.agg_collects, 1) << "one collect per peer for the set";
+  for (int d = 0; d < kGroups; ++d) {
+    EXPECT_EQ(h.owner.vol->ShardFor(fps[d]).owner_scattered.count(fps[d]), 0u)
+        << names[d];
+    EXPECT_EQ(h.SrcPending(fps[d], dirs[d]), 0u) << names[d];
+    EXPECT_TRUE(h.owner.vol->GetChangeLog(fps[d], dirs[d]).empty())
+        << names[d];
+    EXPECT_EQ(h.OwnerAttr(parent, names[d]).size, 3u) << names[d];
+  }
+  EXPECT_EQ(h.owner.stats.entries_applied, 3u * kGroups);
+  for (const PushHarness::Node* n : {&h.src, &h.owner}) {
+    for (const kv::WalRecord& r : n->durable.wal.records()) {
+      if (r.type == 1) {
+        EXPECT_TRUE(r.applied) << "unacked record at server "
+                               << n->config.index;
+      }
+    }
+  }
+}
+
+// A round in which one directory was renamed away: that directory's
+// collected entries come back as a MovedRow under its own fp (the source
+// re-keys that group's log, not the round's first group's), and the other
+// group in the same round is still applied and acked.
+TEST(AggregationModule, RenamedAwayGroupGetsItsOwnMovedRowInASetRound) {
+  PushHarness h;
+  const InodeId parent = RootId();
+  const std::string new_name = h.NameOwnedBy(parent, 0, "sn");
+  const psw::Fingerprint new_fp = FingerprintOf(parent, new_name);
+  // Two groups owned by the owner; the moved one sorts second so a row
+  // keyed by the round's first group would miss its log.
+  std::string live_name;
+  std::string old_name;
+  for (int i = 0; old_name.empty(); ++i) {
+    const std::string a = h.NameOwnedBy(parent, 1, "sl" + std::to_string(i));
+    const std::string b = h.NameOwnedBy(parent, 1, "so" + std::to_string(i));
+    if (FingerprintOf(parent, a) < FingerprintOf(parent, b)) {
+      live_name = a;
+      old_name = b;
+    }
+  }
+  const psw::Fingerprint live_fp = FingerprintOf(parent, live_name);
+  const psw::Fingerprint old_fp = FingerprintOf(parent, old_name);
+  const InodeId live_dir = h.SeedDirAt(h.owner, parent, live_name, 950);
+  const InodeId moved_dir = h.SeedDirAt(h.src, parent, new_name, 951);
+  ServerVolatile::MovedDir tomb;
+  tomb.old_fp = old_fp;
+  tomb.new_fp = new_fp;
+  tomb.new_owner = 0;
+  tomb.epoch = 12;
+  tomb.installed_at = h.sim.Now();
+  h.owner.vol->InstallMovedTombstone(moved_dir, tomb);
+  AppendPending(h.src, live_fp, live_dir, 3);
+  AppendPending(h.src, old_fp, moved_dir, 4);
+
+  sim::Spawn(h.owner.agg->GateAndAggregate(
+      h.owner.vol, std::vector<psw::Fingerprint>{live_fp, old_fp}));
+  h.sim.Run();
+
+  EXPECT_EQ(h.owner.stats.aggregations, 1u);
+  EXPECT_EQ(h.src.agg_collects, 1);
+  // The renamed-away group: rebound under new_fp, drained at the source.
+  EXPECT_EQ(h.src.stats.agg_rebinds, 1u);
+  EXPECT_EQ(h.src.stats.agg_entries_rebound, 4u);
+  EXPECT_EQ(h.SrcPending(old_fp, moved_dir), 0u);
+  EXPECT_EQ(h.SrcPending(new_fp, moved_dir), 0u);
+  auto moved_attr = h.src.vol->kv.Get(InodeKey(parent, new_name));
+  ASSERT_TRUE(moved_attr.has_value());
+  EXPECT_EQ(Attr::Decode(*moved_attr).size, 4u);
+  // The other group: applied at the owner and acked at the source.
+  EXPECT_EQ(h.owner.stats.entries_applied, 3u);
+  EXPECT_EQ(h.SrcPending(live_fp, live_dir), 0u);
+  EXPECT_EQ(h.OwnerAttr(parent, live_name).size, 3u);
 }
 
 // Per-name LWW inside one pushed section: RebindMovedLog appends a rebound
@@ -788,61 +906,64 @@ TEST(PushEngineModule, InvertedSameNameSectionKeepsTheNewerWrite) {
 }
 
 // ---------------------------------------------------------------------------
-// OwnerQuietTimer (§5.3 owner-side proactive aggregation)
+// Quiet sweep (§5.3 owner-side proactive aggregation)
 // ---------------------------------------------------------------------------
 
-// Quiet-period expiry triggers exactly one GateAndAggregate, and re-arming
-// is suppressed while the timer is armed (then works again afterwards).
-TEST(PushEngineModule, OwnerQuietTimerFiresOnceAndRearmsAfterCompletion) {
+// A group quiet for one period is aggregated exactly once, however many
+// pushes noted it; the sweep then disarms, and a later push arms it again.
+TEST(PushEngineModule, QuietSweepAggregatesOncePerQuietPeriod) {
   ModuleHarness h;
   const psw::Fingerprint fp = 91;
-  h.vol->ShardFor(fp).last_push[fp] = h.sim.Now();
-  h.push->ArmOwnerQuietTimer(h.vol, fp);
-  h.push->ArmOwnerQuietTimer(h.vol, fp);  // suppressed: already armed
-  h.push->ArmOwnerQuietTimer(h.vol, fp);
+  h.push->NoteOwnerPush(h.vol, fp);
+  h.push->NoteOwnerPush(h.vol, fp);  // same group, same round
+  h.push->NoteOwnerPush(h.vol, fp);
   h.sim.Run();
 
   EXPECT_EQ(h.stats.aggregations, 1u);
-  EXPECT_TRUE(h.vol->ShardFor(fp).quiet_timer_armed.empty());
+  EXPECT_EQ(h.stats.agg_groups, 1u);
+  EXPECT_TRUE(h.vol->ShardFor(fp).last_push.empty());
+  EXPECT_FALSE(h.vol->ShardFor(fp).quiet_sweep_armed);
 
-  // The timer completed: arming again schedules a fresh aggregation.
-  h.push->ArmOwnerQuietTimer(h.vol, fp);
+  // The sweep went idle: a new push arms it again for a fresh aggregation.
+  h.push->NoteOwnerPush(h.vol, fp);
   h.sim.Run();
   EXPECT_EQ(h.stats.aggregations, 2u);
-  EXPECT_TRUE(h.vol->ShardFor(fp).quiet_timer_armed.empty());
+  EXPECT_TRUE(h.vol->ShardFor(fp).last_push.empty());
+  EXPECT_FALSE(h.vol->ShardFor(fp).quiet_sweep_armed);
 }
 
-// A push arriving mid-wait postpones the quiet-period aggregation (the timer
-// loops) — still exactly one aggregation once the pushes stop.
-TEST(PushEngineModule, OwnerQuietTimerPostponesWhilePushesArrive) {
+// A push arriving mid-wait postpones the group's aggregation to the first
+// sweep a full period after it — still exactly one aggregation.
+TEST(PushEngineModule, QuietSweepPostponesWhilePushesArrive) {
   ModuleHarness h;
   const psw::Fingerprint fp = 92;
-  h.vol->ShardFor(fp).last_push[fp] = h.sim.Now();
-  h.push->ArmOwnerQuietTimer(h.vol, fp);
+  h.push->NoteOwnerPush(h.vol, fp);
   // Halfway through the quiet period another push lands.
-  h.sim.ScheduleAfter(h.config.owner_quiet_period / 2, [&h, fp] {
-    h.vol->ShardFor(fp).last_push[fp] = h.sim.Now();
-    h.push->ArmOwnerQuietTimer(h.vol, fp);  // suppressed, timer keeps looping
-  });
+  h.sim.ScheduleAfter(h.config.owner_quiet_period / 2,
+                      [&h, fp] { h.push->NoteOwnerPush(h.vol, fp); });
+  h.sim.RunUntil(h.config.owner_quiet_period + 1);
+  EXPECT_EQ(h.stats.aggregations, 0u) << "aggregated before going quiet";
   h.sim.Run();
 
   EXPECT_EQ(h.stats.aggregations, 1u);
-  EXPECT_TRUE(h.vol->ShardFor(fp).quiet_timer_armed.empty());
+  EXPECT_GE(h.sim.Now(), 2 * h.config.owner_quiet_period);
+  EXPECT_TRUE(h.vol->ShardFor(fp).last_push.empty());
+  EXPECT_FALSE(h.vol->ShardFor(fp).quiet_sweep_armed);
 }
 
-// A crash (v->dead) mid-wait must leak no timer state: no aggregation runs
-// and the armed marker is unwound.
-TEST(PushEngineModule, OwnerQuietTimerCrashMidWaitLeaksNoState) {
+// A crash (v->dead) mid-wait must leak no sweep state: no aggregation runs,
+// the deadline map is dropped and the sweep disarms.
+TEST(PushEngineModule, QuietSweepCrashMidWaitLeaksNoState) {
   ModuleHarness h;
   const psw::Fingerprint fp = 93;
-  h.vol->ShardFor(fp).last_push[fp] = h.sim.Now();
-  h.push->ArmOwnerQuietTimer(h.vol, fp);
+  h.push->NoteOwnerPush(h.vol, fp);
   h.sim.ScheduleAfter(h.config.owner_quiet_period / 2,
                       [&h] { h.vol->dead = true; });
   h.sim.Run();
 
   EXPECT_EQ(h.stats.aggregations, 0u);
-  EXPECT_TRUE(h.vol->ShardFor(fp).quiet_timer_armed.empty());
+  EXPECT_TRUE(h.vol->ShardFor(fp).last_push.empty());
+  EXPECT_FALSE(h.vol->ShardFor(fp).quiet_sweep_armed);
 }
 
 // §5.3 consolidated attribute update: N pending entries cost one attribute
@@ -953,7 +1074,8 @@ TEST(AggregationModule, GateAndAggregateDrainsLocalChangeLog) {
     clog.Restore(std::move(e));
   }
 
-  sim::Spawn(h.agg->GateAndAggregate(h.vol, fp));
+  sim::Spawn(h.agg->GateAndAggregate(h.vol,
+                                     std::vector<psw::Fingerprint>(1, fp)));
   h.sim.Run();
 
   EXPECT_EQ(h.stats.aggregations, 1u);
@@ -983,7 +1105,7 @@ TEST(AggregationModule, ResponderWatchdogReleasesAbandonedSession) {
   });
 
   auto collect = std::make_shared<AggCollect>();
-  collect->fp = fp;
+  collect->fps = {fp};
   collect->initiator_server = 9;
   collect->initiator_node = initiator.id();
   collect->agg_seq = 1;

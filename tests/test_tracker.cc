@@ -174,11 +174,51 @@ TEST(ReplicatedTrackerTest, WritesPropagateDownTheChain) {
   sim::Spawn([](ReplicatedTracker* t, TrackerHarness* hh) -> sim::Task<void> {
     net::Packet rm;
     rm.dst = hh->rpc.id();  // self-addressed stand-in for the multicast
-    co_await t->RemoveAndMulticast(hh->ctx, hh->vol, 4242, /*seq=*/1, rm);
+    std::vector<psw::Fingerprint> fps(1, 4242);
+    co_await t->RemoveAndMulticast(hh->ctx, hh->vol, std::move(fps),
+                                   /*seq=*/1, rm);
   }(&tracker, &h));
   h.sim.Run();
   for (int i = 0; i < tracker.replica_count(); ++i) {
     EXPECT_FALSE(tracker.node(i).dirty_set().Query(4242)) << "replica " << i;
+  }
+  EXPECT_EQ(tracker.failovers(), 0u);
+}
+
+// A multi-group aggregation round removes its whole group list through one
+// TrackerOp: every replica down the chain removes every listed group, and a
+// stale seq is refused for the whole list at every replica.
+TEST(ReplicatedTrackerTest, RemoveForwardsTheGroupListDownTheChain) {
+  TrackerHarness h;
+  ReplicatedTrackerConfig rc;
+  rc.replicas = 3;
+  ReplicatedTracker tracker(&h.sim, &h.net, &h.cluster, &h.costs, rc);
+  for (psw::Fingerprint fp : {4242, 4243, 4244, 4245}) {
+    EXPECT_EQ(h.RunInsert(tracker, fp), InsertResult::kPublished);
+  }
+  const auto remove = [&h, &tracker](std::vector<psw::Fingerprint> fps,
+                                     uint64_t seq) {
+    sim::Spawn([](ReplicatedTracker* t, TrackerHarness* hh,
+                  std::vector<psw::Fingerprint> groups,
+                  uint64_t s) -> sim::Task<void> {
+      net::Packet rm;
+      rm.dst = hh->rpc.id();  // self-addressed stand-in for the multicast
+      co_await t->RemoveAndMulticast(hh->ctx, hh->vol, std::move(groups), s,
+                                     rm);
+    }(&tracker, &h, std::move(fps), seq));
+    h.sim.Run();
+  };
+  remove({4242, 4243}, /*seq=*/3);
+  for (int i = 0; i < tracker.replica_count(); ++i) {
+    EXPECT_FALSE(tracker.node(i).dirty_set().Query(4242)) << "replica " << i;
+    EXPECT_FALSE(tracker.node(i).dirty_set().Query(4243)) << "replica " << i;
+    EXPECT_TRUE(tracker.node(i).dirty_set().Query(4244)) << "replica " << i;
+    EXPECT_TRUE(tracker.node(i).dirty_set().Query(4245)) << "replica " << i;
+  }
+  remove({4244, 4245}, /*seq=*/3);  // duplicate seq: stale for the whole list
+  for (int i = 0; i < tracker.replica_count(); ++i) {
+    EXPECT_TRUE(tracker.node(i).dirty_set().Query(4244)) << "replica " << i;
+    EXPECT_TRUE(tracker.node(i).dirty_set().Query(4245)) << "replica " << i;
   }
   EXPECT_EQ(tracker.failovers(), 0u);
 }
