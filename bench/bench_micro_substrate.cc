@@ -1,13 +1,18 @@
 // Substrate microbenchmarks (google-benchmark, wall-clock): simulator event
-// throughput, coroutine round-trips, KV store, WAL, change-log append and
-// compacted-state maintenance. These bound how much simulated work the
-// figure benches can push per host second.
+// throughput (callback and handle-resume events), coroutine round-trips, the
+// CPU pool, lock tables, KV store, WAL, change-log append and compacted-state
+// maintenance. These bound how much simulated work the figure benches can
+// push per host second.
 #include <benchmark/benchmark.h>
+
+#include <coroutine>
 
 #include "src/common/histogram.h"
 #include "src/core/change_log.h"
+#include "src/core/lock_table.h"
 #include "src/kv/kvstore.h"
 #include "src/kv/wal.h"
+#include "src/sim/cpu.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
@@ -25,6 +30,37 @@ void BM_SimulatorEventDispatch(benchmark::State& state) {
   benchmark::DoNotOptimize(counter);
 }
 BENCHMARK(BM_SimulatorEventDispatch);
+
+// Suspends without scheduling anything, handing the handle out.
+struct Park {
+  std::coroutine_handle<>* out;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) const noexcept { *out = h; }
+  void await_resume() const noexcept {}
+};
+
+sim::Task<void> ParkUntilStopped(std::coroutine_handle<>* out,
+                                 const bool* stop) {
+  while (!*stop) {
+    co_await Park{out};
+  }
+}
+
+// The handle-resume counterpart of BM_SimulatorEventDispatch: one event that
+// resumes a parked coroutine, which parks again.
+void BM_SimulatorHandleResumeDispatch(benchmark::State& state) {
+  sim::Simulator s;
+  std::coroutine_handle<> parked;
+  bool stop = false;
+  sim::Spawn(ParkUntilStopped(&parked, &stop));
+  for (auto _ : state) {
+    s.ResumeAfter(1, parked);
+    s.Run();
+  }
+  stop = true;
+  parked.resume();  // let the frame finish
+}
+BENCHMARK(BM_SimulatorHandleResumeDispatch);
 
 void BM_CoroutineDelayRoundTrip(benchmark::State& state) {
   sim::Simulator s;
@@ -51,6 +87,52 @@ void BM_MutexHandoffChain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MutexHandoffChain);
+
+// One CpuPool::Run on an idle core: acquire, charge, resume, release.
+void BM_CpuPoolRunIdle(benchmark::State& state) {
+  sim::Simulator s;
+  sim::CpuPool cpu(&s, 4);
+  for (auto _ : state) {
+    sim::Spawn([](sim::CpuPool* c) -> sim::Task<void> {
+      co_await c->Run(1);
+    }(&cpu));
+    s.Run();
+  }
+  benchmark::DoNotOptimize(cpu.busy_time());
+}
+BENCHMARK(BM_CpuPoolRunIdle);
+
+// 64 runs on one core: all but the first queue and are handed the core in
+// FIFO order. Items are runs.
+void BM_CpuPoolRunSaturated(benchmark::State& state) {
+  sim::Simulator s;
+  sim::CpuPool cpu(&s, 1);
+  for (auto _ : state) {
+    for (int i = 0; i < 64; ++i) {
+      sim::Spawn([](sim::CpuPool* c) -> sim::Task<void> {
+        co_await c->Run(1);
+      }(&cpu));
+    }
+    s.Run();
+  }
+  state.SetItemsProcessed(state.iterations() * 64);
+  benchmark::DoNotOptimize(cpu.busy_time());
+}
+BENCHMARK(BM_CpuPoolRunSaturated);
+
+// An uncontended LockTable acquire and release: slot created and reclaimed.
+void BM_LockTableAcquireRelease(benchmark::State& state) {
+  sim::Simulator s;
+  core::LockTable table(&s);
+  for (auto _ : state) {
+    sim::Spawn([](core::LockTable* t) -> sim::Task<void> {
+      auto h = co_await t->AcquireExclusive("inode-key");
+    }(&table));
+    s.Run();
+  }
+  benchmark::DoNotOptimize(table.slot_count());
+}
+BENCHMARK(BM_LockTableAcquireRelease);
 
 void BM_KvStorePut(benchmark::State& state) {
   kv::KvStore store;

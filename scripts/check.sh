@@ -11,6 +11,10 @@
 #                                       # into the dev container)
 #   SFS_BENCH_SMOKE=1 scripts/check.sh  # also run the perf smoke benches
 #                                       # and the repo benchmark's self-test
+#   SFS_SIM_BASE=HEAD~ scripts/check.sh # also check that every simulated
+#                                       # perfbench metric is bit-identical
+#                                       # to that revision's
+#                                       # (scripts/sim_identity.py)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -94,6 +98,11 @@ if [[ "${SFS_BENCH_SMOKE:-0}" == "1" ]]; then
   # that breaks its build or its end-state check fails here (~15 s, offline).
   echo "== perf smoke: perfbench self-test =="
   python3 perfbench/selftest.py
+fi
+
+if [[ -n "${SFS_SIM_BASE:-}" ]]; then
+  echo "== sim identity: simulated perfbench metrics vs $SFS_SIM_BASE =="
+  python3 scripts/sim_identity.py --base "$SFS_SIM_BASE"
 fi
 
 if [[ "$MODE" != "--fast" ]]; then

@@ -11,7 +11,8 @@
 #define SRC_CORE_LOCK_TABLE_H_
 
 #include <cassert>
-#include <memory>
+#include <coroutine>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -20,7 +21,6 @@
 #include "src/sim/discipline.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
-#include "src/sim/task.h"
 
 namespace switchfs::core {
 
@@ -81,28 +81,52 @@ class SFS_LOCKABLE LockTable {
     uint64_t hold_id_ = 0;
   };
 
-  sim::Task<Handle> AcquireShared(std::string key) {
-    Slot* slot = Ref(key);
-    auto guard = co_await slot->mu.AcquireShared();
-    uint64_t hold_id = 0;
-#if SFS_DISCIPLINE_CHECKS
-    hold_id = sim::DisciplineChecker::OnAcquired(
-        co_await sim::discipline::CurrentChainId{}, class_,
-        /*exclusive=*/false, key, shard_);
-#endif
-    co_return Handle(this, std::move(key), std::move(guard), hold_id);
-  }
+  // Awaiter returned by AcquireShared/AcquireExclusive: `co_await` yields a
+  // held Handle. When awaited it pins the key's slot and constructs the
+  // slot's SharedMutex::Acquirer inline, so a queued acquire waits in the
+  // awaiting frame itself — no coroutine frame, no queue allocation.
+  class [[nodiscard]] Acquirer {
+   public:
+    Acquirer(LockTable* table, std::string key, bool exclusive)
+        : table_(table), key_(std::move(key)), exclusive_(exclusive) {}
 
-  sim::Task<Handle> AcquireExclusive(std::string key) {
-    Slot* slot = Ref(key);
-    auto guard = co_await slot->mu.AcquireExclusive();
-    uint64_t hold_id = 0;
+    bool await_ready() {
 #if SFS_DISCIPLINE_CHECKS
-    hold_id = sim::DisciplineChecker::OnAcquired(
-        co_await sim::discipline::CurrentChainId{}, class_,
-        /*exclusive=*/true, key, shard_);
+      // The awaiting coroutine's await_transform has just published its
+      // chain; read it before any suspension can intervene.
+      chain_ = sim::discipline::CurrentChain();
 #endif
-    co_return Handle(this, std::move(key), std::move(guard), hold_id);
+      acquirer_.emplace(&table_->Ref(key_).mu, exclusive_);
+      return acquirer_->await_ready();
+    }
+    void await_suspend(std::coroutine_handle<> h) {
+      acquirer_->await_suspend(h);
+    }
+    Handle await_resume() {
+      sim::SharedMutex::Guard guard = acquirer_->await_resume();
+      uint64_t hold_id = 0;
+#if SFS_DISCIPLINE_CHECKS
+      hold_id = sim::DisciplineChecker::OnAcquired(
+          chain_, table_->class_, exclusive_, key_, table_->shard_);
+#endif
+      return Handle(table_, std::move(key_), std::move(guard), hold_id);
+    }
+
+   private:
+    LockTable* table_;
+    std::string key_;
+    bool exclusive_;
+    std::optional<sim::SharedMutex::Acquirer> acquirer_;
+#if SFS_DISCIPLINE_CHECKS
+    uint64_t chain_ = 0;
+#endif
+  };
+
+  Acquirer AcquireShared(std::string key) {
+    return Acquirer(this, std::move(key), /*exclusive=*/false);
+  }
+  Acquirer AcquireExclusive(std::string key) {
+    return Acquirer(this, std::move(key), /*exclusive=*/true);
   }
 
   size_t slot_count() const { return slots_.size(); }
@@ -110,25 +134,24 @@ class SFS_LOCKABLE LockTable {
   int shard() const { return shard_; }
 
  private:
+  // Lives in its map node (node addresses are stable across rehashing), so
+  // a slot allocates nothing beyond the node itself.
   struct Slot {
     explicit Slot(sim::Simulator* sim) : mu(sim) {}
     sim::SharedMutex mu;
     int refs = 0;
   };
 
-  Slot* Ref(const std::string& key) {
-    auto it = slots_.find(key);
-    if (it == slots_.end()) {
-      it = slots_.emplace(key, std::make_unique<Slot>(sim_)).first;
-    }
-    it->second->refs++;
-    return it->second.get();
+  Slot& Ref(const std::string& key) {
+    Slot& slot = slots_.try_emplace(key, sim_).first->second;
+    slot.refs++;
+    return slot;
   }
 
   void Unref(const std::string& key) {
     auto it = slots_.find(key);
     assert(it != slots_.end());
-    if (--it->second->refs == 0) {
+    if (--it->second.refs == 0) {
       slots_.erase(it);
     }
   }
@@ -136,7 +159,7 @@ class SFS_LOCKABLE LockTable {
   sim::Simulator* sim_;
   sim::LockClass class_;
   int shard_ = -1;
-  std::unordered_map<std::string, std::unique_ptr<Slot>> slots_;
+  std::unordered_map<std::string, Slot> slots_;
 };
 
 }  // namespace switchfs::core

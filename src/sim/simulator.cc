@@ -5,23 +5,65 @@
 namespace switchfs::sim {
 
 void Simulator::ScheduleAt(SimTime at, std::function<void()> fn) {
-  if (at < now_) {
-    at = now_;
+  auto slot = static_cast<uint32_t>(callbacks_.size());
+  if (free_callbacks_.empty()) {
+    callbacks_.push_back(std::move(fn));
+  } else {
+    slot = free_callbacks_.back();
+    free_callbacks_.pop_back();
+    callbacks_[slot] = std::move(fn);
   }
-  queue_.push(Event{at, next_seq_++, std::move(fn)});
+  Push(at, (static_cast<uintptr_t>(slot) << 1) | kCallbackTag);
+}
+
+void Simulator::PopTop() {
+  // Sift the last entry down from a hole at the root.
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  const size_t n = heap_.size();
+  if (n == 0) {
+    return;
+  }
+  size_t i = 0;
+  for (;;) {
+    const size_t first = i * kArity + 1;
+    if (first >= n) {
+      break;
+    }
+    const size_t end = first + kArity < n ? first + kArity : n;
+    size_t best = first;
+    for (size_t c = first + 1; c < end; ++c) {
+      if (Earlier(heap_[c], heap_[best])) {
+        best = c;
+      }
+    }
+    if (!Earlier(heap_[best], last)) {
+      break;
+    }
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = last;
 }
 
 bool Simulator::Step() {
-  if (queue_.empty()) {
+  if (heap_.empty()) {
     return false;
   }
-  // priority_queue::top returns const&; the function object must be moved out
-  // before pop. const_cast is confined to this one line.
-  Event ev = std::move(const_cast<Event&>(queue_.top()));
-  queue_.pop();
+  const Entry ev = heap_.front();
+  PopTop();
   now_ = ev.at;
-  ++executed_;
-  ev.fn();
+  if ((ev.payload & kCallbackTag) == 0) {
+    std::coroutine_handle<>::from_address(reinterpret_cast<void*>(ev.payload))
+        .resume();
+    return true;
+  }
+  // Move the callback out before running it: it may schedule callbacks of
+  // its own, which can reuse the freed slot or grow the table.
+  const auto slot = static_cast<uint32_t>(ev.payload >> 1);
+  std::function<void()> fn = std::move(callbacks_[slot]);
+  free_callbacks_.push_back(slot);
+  fn();
   return true;
 }
 
@@ -32,7 +74,7 @@ SimTime Simulator::Run() {
 }
 
 SimTime Simulator::RunUntil(SimTime deadline) {
-  while (!queue_.empty() && queue_.top().at <= deadline) {
+  while (HasEventBy(deadline)) {
     Step();
   }
   if (now_ < deadline) {
@@ -60,10 +102,10 @@ size_t Simulator::pending_source_work() const {
 SimTime Simulator::RunWhileWorkPending(SimTime deadline) {
   for (;;) {
     // Drain the visible event queue first (bounded by the deadline).
-    while (!queue_.empty() && queue_.top().at <= deadline) {
+    while (HasEventBy(deadline)) {
       Step();
     }
-    if (!queue_.empty()) {
+    if (!heap_.empty()) {
       return now_;  // remaining events are all past the deadline
     }
     const size_t before = pending_source_work();
@@ -78,7 +120,7 @@ SimTime Simulator::RunWhileWorkPending(SimTime deadline) {
     }
     // Livelock guard: a kick that schedules nothing and shrinks nothing is
     // a stuck source — stop rather than spin forever.
-    if (queue_.empty() && pending_source_work() >= before) {
+    if (heap_.empty() && pending_source_work() >= before) {
       return now_;
     }
   }

@@ -1,14 +1,25 @@
-// Single-threaded deterministic discrete-event simulator. Events with equal
-// timestamps fire in scheduling order (FIFO tie-break), which makes every run
-// with the same seed bit-for-bit reproducible — a property the integration
-// and property tests rely on.
+// Single-threaded deterministic discrete-event simulator.
+//
+// Two kinds of event share one queue:
+//  * handle resumes (ResumeAt/ResumeAfter) — the coroutine handle is stored
+//    in the entry itself, so resuming a suspended coroutine costs no
+//    allocation and no type erasure. Delay, the primitives in sync.h and
+//    CpuPool::Run resume their waiters this way;
+//  * generic callbacks (ScheduleAt/ScheduleAfter) — the std::function lives
+//    in a reusable slot table and the entry carries its index.
+// The queue is a flat 4-ary min-heap of trivially-copyable {at, seq, payload}
+// entries. Both kinds draw `seq` from one counter, so events with equal
+// timestamps fire in scheduling order whatever their kind (FIFO tie-break).
+// That makes every run with the same seed bit-for-bit reproducible — a
+// property the integration and property tests rely on.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <queue>
+#include <utility>
 #include <vector>
 
 #include "src/sim/time.h"
@@ -28,6 +39,15 @@ class Simulator {
   // Schedules fn to run `delay` after Now().
   void ScheduleAfter(SimTime delay, std::function<void()> fn) {
     ScheduleAt(now_ + delay, std::move(fn));
+  }
+
+  // Resumes coroutine `h` at absolute time `at` (clamped to Now()).
+  void ResumeAt(SimTime at, std::coroutine_handle<> h) {
+    Push(at, reinterpret_cast<uintptr_t>(h.address()));
+  }
+  // Resumes coroutine `h` `delay` after Now().
+  void ResumeAfter(SimTime delay, std::coroutine_handle<> h) {
+    ResumeAt(now_ + delay, h);
   }
 
   // Runs until the event queue is empty. Returns the final time.
@@ -61,24 +81,49 @@ class Simulator {
   SimTime RunWhileWorkPending(SimTime deadline = kSimTimeMax);
 
  private:
-  struct Event {
+  // `payload` is a coroutine frame address (at least 2-byte aligned, so its
+  // low bit is 0) or (callback slot index << 1) | kCallbackTag.
+  struct Entry {
     SimTime at;
     uint64_t seq;
-    std::function<void()> fn;
+    uintptr_t payload;
   };
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) {
-        return a.at > b.at;
-      }
-      return a.seq > b.seq;
+  static constexpr uintptr_t kCallbackTag = 1;
+  static constexpr size_t kArity = 4;
+
+  static bool Earlier(const Entry& a, const Entry& b) {
+    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+  }
+
+  void Push(SimTime at, uintptr_t payload) {
+    if (at < now_) {
+      at = now_;
     }
-  };
+    // Sift up from a hole at the end.
+    const Entry e{at, next_seq_++, payload};
+    size_t i = heap_.size();
+    heap_.emplace_back();
+    while (i > 0) {
+      const size_t parent = (i - 1) / kArity;
+      if (!Earlier(e, heap_[parent])) {
+        break;
+      }
+      heap_[i] = heap_[parent];
+      i = parent;
+    }
+    heap_[i] = e;
+  }
+  // Removes the earliest entry (the heap must not be empty).
+  void PopTop();
+  bool HasEventBy(SimTime deadline) const {
+    return !heap_.empty() && heap_.front().at <= deadline;
+  }
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
-  uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  std::vector<Entry> heap_;
+  std::vector<std::function<void()>> callbacks_;
+  std::vector<uint32_t> free_callbacks_;  // reusable callbacks_ slots
   uint64_t next_source_id_ = 1;
   std::map<uint64_t, WorkSource> sources_;  // ordered: deterministic kicks
 };

@@ -1,28 +1,74 @@
 // Coroutine-aware synchronization primitives on top of the simulator.
 //
-// All primitives are strictly FIFO and resume waiters through the event queue
-// (never inline) so that (a) lock-handoff chains cannot recurse arbitrarily
-// deep and (b) wakeup order is deterministic. Ownership is granted either in
-// await_ready (fast path) or at handoff time inside the release path — never
-// in await_resume — so there is no window in which a late arrival can steal a
-// grant from a queued waiter. None of these are thread-safe; the simulator is
-// single-threaded by design.
+// All primitives are strictly FIFO and resume waiters through the simulator's
+// handle-resume events (Simulator::ResumeAfter, never inline) so that (a)
+// lock-handoff chains cannot recurse arbitrarily deep and (b) wakeup order is
+// deterministic: a wakeup is one event in the simulator's single queue, FIFO
+// against every other event at the same timestamp. Ownership is granted
+// either in await_ready (fast path) or at handoff time inside the release
+// path — never in await_resume — so there is no window in which a late
+// arrival can steal a grant from a queued waiter.
+//
+// Waiter queues are intrusive: each queued awaiter is a node in a FIFO list
+// and lives in its awaiting coroutine's frame for the whole wait, so
+// suspending on a lock allocates nothing. None of these are thread-safe; the
+// simulator is single-threaded by design.
 #ifndef SRC_SIM_SYNC_H_
 #define SRC_SIM_SYNC_H_
 
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "src/common/annotations.h"
 #include "src/sim/simulator.h"
 #include "src/sim/task.h"
 
 namespace switchfs::sim {
+
+namespace internal {
+
+// Intrusive FIFO of suspended awaiters. `Node` exposes a `queue_next_`
+// pointer (befriend WaitQueue<Node> to keep it private). A node must stay
+// put while queued — true of an awaiter, which lives in the awaiting frame
+// until the co_await completes. (Awaiters stay copyable: GCC copies one
+// returned by reference from an await_transform into the frame, before
+// await_ready, so the copy is the node that gets queued.)
+template <typename Node>
+class WaitQueue {
+ public:
+  bool empty() const { return head_ == nullptr; }
+  size_t size() const { return size_; }
+  Node* front() const { return head_; }
+  void push_back(Node* n) {
+    n->queue_next_ = nullptr;
+    if (tail_ != nullptr) {
+      tail_->queue_next_ = n;
+    } else {
+      head_ = n;
+    }
+    tail_ = n;
+    ++size_;
+  }
+  Node* pop_front() {
+    Node* n = head_;
+    head_ = n->queue_next_;
+    if (head_ == nullptr) {
+      tail_ = nullptr;
+    }
+    --size_;
+    return n;
+  }
+
+ private:
+  Node* head_ = nullptr;
+  Node* tail_ = nullptr;
+  size_t size_ = 0;
+};
+
+}  // namespace internal
 
 // Suspends the awaiting coroutine for `delay` simulated nanoseconds.
 class Delay {
@@ -31,7 +77,7 @@ class Delay {
 
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) const {
-    sim_->ScheduleAfter(delay_, [h] { h.resume(); });
+    sim_->ResumeAfter(delay_, h);
   }
   void await_resume() const noexcept {}
 
@@ -83,13 +129,20 @@ class SFS_LOCKABLE Mutex {
       }
       return false;
     }
-    void await_suspend(std::coroutine_handle<> h) { mu_->waiters_.push_back(h); }
+    void await_suspend(std::coroutine_handle<> h) {
+      handle_ = h;
+      mu_->waiters_.push_back(this);
+    }
     // On the queued path the lock was handed off (still locked_) before the
     // resume was scheduled, so ownership is already ours here.
     Guard await_resume() { return Guard(mu_); }
 
    private:
+    friend class Mutex;
+    friend class internal::WaitQueue<Acquirer>;
     Mutex* mu_;
+    std::coroutine_handle<> handle_;
+    Acquirer* queue_next_ = nullptr;
   };
 
   Acquirer Acquire() { return Acquirer(this); }
@@ -104,14 +157,12 @@ class SFS_LOCKABLE Mutex {
       return;
     }
     // FIFO handoff: the lock stays held and transfers to the front waiter.
-    auto next = waiters_.front();
-    waiters_.pop_front();
-    sim_->ScheduleAfter(0, [next] { next.resume(); });
+    sim_->ResumeAfter(0, waiters_.pop_front()->handle_);
   }
 
   Simulator* sim_;
   bool locked_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
+  internal::WaitQueue<Acquirer> waiters_;
 };
 
 // Reader/writer lock with strict FIFO admission (no reader or writer
@@ -177,13 +228,18 @@ class SFS_LOCKABLE SharedMutex {
       return false;
     }
     void await_suspend(std::coroutine_handle<> h) {
-      mu_->waiters_.push_back({h, exclusive_});
+      handle_ = h;
+      mu_->waiters_.push_back(this);
     }
     Guard await_resume() { return Guard(mu_, exclusive_); }
 
    private:
+    friend class SharedMutex;
+    friend class internal::WaitQueue<Acquirer>;
     SharedMutex* mu_;
     bool exclusive_;
+    std::coroutine_handle<> handle_;
+    Acquirer* queue_next_ = nullptr;
   };
 
   Acquirer AcquireShared() { return Acquirer(this, false); }
@@ -194,11 +250,6 @@ class SFS_LOCKABLE SharedMutex {
   size_t waiter_count() const { return waiters_.size(); }
 
  private:
-  struct Waiter {
-    std::coroutine_handle<> handle;
-    bool exclusive;
-  };
-
   void UnlockShared() {
     assert(readers_ > 0);
     if (--readers_ == 0) {
@@ -218,41 +269,46 @@ class SFS_LOCKABLE SharedMutex {
     if (writer_ || readers_ > 0 || waiters_.empty()) {
       return;
     }
-    if (waiters_.front().exclusive) {
+    if (waiters_.front()->exclusive_) {
       writer_ = true;
-      auto next = waiters_.front().handle;
-      waiters_.pop_front();
-      sim_->ScheduleAfter(0, [next] { next.resume(); });
+      sim_->ResumeAfter(0, waiters_.pop_front()->handle_);
       return;
     }
-    while (!waiters_.empty() && !waiters_.front().exclusive) {
+    while (!waiters_.empty() && !waiters_.front()->exclusive_) {
       readers_++;
-      auto next = waiters_.front().handle;
-      waiters_.pop_front();
-      sim_->ScheduleAfter(0, [next] { next.resume(); });
+      sim_->ResumeAfter(0, waiters_.pop_front()->handle_);
     }
   }
 
   Simulator* sim_;
   int readers_ = 0;
   bool writer_ = false;
-  std::deque<Waiter> waiters_;
+  internal::WaitQueue<Acquirer> waiters_;
 };
 
 // Manual-reset event: Wait() suspends until Set() has been called.
 class ManualEvent {
  public:
   explicit ManualEvent(Simulator* sim) : sim_(sim) {}
+  ManualEvent(const ManualEvent&) = delete;
+  ManualEvent& operator=(const ManualEvent&) = delete;
 
   class [[nodiscard]] Waiter {
    public:
     explicit Waiter(ManualEvent* ev) : ev_(ev) {}
     bool await_ready() const noexcept { return ev_->set_; }
-    void await_suspend(std::coroutine_handle<> h) { ev_->waiters_.push_back(h); }
+    void await_suspend(std::coroutine_handle<> h) {
+      handle_ = h;
+      ev_->waiters_.push_back(this);
+    }
     void await_resume() const noexcept {}
 
    private:
+    friend class ManualEvent;
+    friend class internal::WaitQueue<Waiter>;
     ManualEvent* ev_;
+    std::coroutine_handle<> handle_;
+    Waiter* queue_next_ = nullptr;
   };
 
   Waiter Wait() { return Waiter(this); }
@@ -262,10 +318,9 @@ class ManualEvent {
       return;
     }
     set_ = true;
-    for (auto h : waiters_) {
-      sim_->ScheduleAfter(0, [h] { h.resume(); });
+    while (!waiters_.empty()) {
+      sim_->ResumeAfter(0, waiters_.pop_front()->handle_);
     }
-    waiters_.clear();
   }
   void Reset() { set_ = false; }
   bool is_set() const { return set_; }
@@ -273,13 +328,15 @@ class ManualEvent {
  private:
   Simulator* sim_;
   bool set_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
+  internal::WaitQueue<Waiter> waiters_;
 };
 
 // Counting semaphore with FIFO waiters and direct permit handoff.
 class Semaphore {
  public:
   Semaphore(Simulator* sim, int64_t permits) : sim_(sim), permits_(permits) {}
+  Semaphore(const Semaphore&) = delete;
+  Semaphore& operator=(const Semaphore&) = delete;
 
   class [[nodiscard]] Acquirer {
    public:
@@ -291,12 +348,19 @@ class Semaphore {
       }
       return false;
     }
-    void await_suspend(std::coroutine_handle<> h) { sem_->waiters_.push_back(h); }
+    void await_suspend(std::coroutine_handle<> h) {
+      handle_ = h;
+      sem_->waiters_.push_back(this);
+    }
     // Queued path: the permit was transferred at Release() time.
     void await_resume() const noexcept {}
 
    private:
+    friend class Semaphore;
+    friend class internal::WaitQueue<Acquirer>;
     Semaphore* sem_;
+    std::coroutine_handle<> handle_;
+    Acquirer* queue_next_ = nullptr;
   };
 
   Acquirer Acquire() { return Acquirer(this); }
@@ -304,9 +368,7 @@ class Semaphore {
   void Release() {
     if (!waiters_.empty()) {
       // Direct handoff; permits_ is not incremented.
-      auto next = waiters_.front();
-      waiters_.pop_front();
-      sim_->ScheduleAfter(0, [next] { next.resume(); });
+      sim_->ResumeAfter(0, waiters_.pop_front()->handle_);
       return;
     }
     permits_++;
@@ -318,7 +380,7 @@ class Semaphore {
  private:
   Simulator* sim_;
   int64_t permits_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  internal::WaitQueue<Acquirer> waiters_;
 };
 
 // Single-producer single-consumer completion slot, used by the RPC layer to
@@ -334,8 +396,7 @@ class OneShot {
     }
     value_ = std::move(value);
     if (waiter_) {
-      auto h = std::exchange(waiter_, nullptr);
-      sim_->ScheduleAfter(0, [h] { h.resume(); });
+      sim_->ResumeAfter(0, std::exchange(waiter_, nullptr));
     }
     return true;
   }

@@ -34,13 +34,15 @@ struct PromiseBase {
 #if SFS_DISCIPLINE_CHECKS
   // Chain identity for the dynamic discipline checker: every frame reachable
   // from one root (spawned or test-driven) coroutine shares one id, so lock
-  // holds registered by LockTable sub-coroutines attribute to the logical
-  // operation that owns them. 0 until the frame's first co_await.
+  // holds registered by LockTable acquires (deep in a callee or not)
+  // attribute to the logical operation that owns them. 0 until the frame's
+  // first co_await.
   uint64_t chain_id = 0;
 
   // Pass-through await_transform that publishes this frame's chain id so an
   // awaited child Task can inherit it (Task::Awaiter::await_suspend reads it
-  // back synchronously, before any suspension can intervene).
+  // back synchronously, before any suspension can intervene), and so can a
+  // LockTable acquire (its await_ready reads it the same way).
   template <typename A>
   decltype(auto) await_transform(A&& awaitable) {
     if (chain_id == 0) {

@@ -72,8 +72,10 @@ sim::Task<InsertResult> SwitchTracker::Insert(core::ServerContext& ctx,
   }
   v->op_waits.erase(token);
   if (client_req != nullptr) {
-    // From here on, client retransmits are served from the dedup cache.
-    ctx.rpc->RecordResponse(*client_req, env);
+    // From here on, client retransmits are served from the dedup cache. A
+    // replay needs only the client's reply; caching the envelope would pin
+    // a copy of the whole change-log backlog per create.
+    ctx.rpc->RecordResponse(*client_req, client_resp);
   }
   co_return InsertResult::kDelivered;
 }

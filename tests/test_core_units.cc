@@ -37,6 +37,38 @@ TEST(LockTable, SlotsAreReclaimedWhenIdle) {
   EXPECT_EQ(table.slot_count(), 0u);  // last release reclaims the slot
 }
 
+// A queued acquire is resumed by the release's handoff event already holding
+// the lock (the Handle it gets is live), and the slot outlives the holder
+// only as long as a holder or waiter still references it.
+TEST(LockTable, QueuedAcquireResumesHoldingTheGuard) {
+  sim::Simulator sim;
+  LockTable table(&sim);
+  sim::SimTime second_got_it = -1;
+  bool second_held = false;
+  size_t slots_while_second_holds = 0;
+  sim::Spawn([](sim::Simulator* s, LockTable* t) -> sim::Task<void> {
+    auto h = co_await t->AcquireExclusive("k");
+    co_await sim::Delay(s, 10);
+  }(&sim, &table));
+  sim::Spawn([](sim::Simulator* s, LockTable* t, sim::SimTime* at, bool* held,
+                size_t* slots) -> sim::Task<void> {
+    auto h = co_await t->AcquireShared("k");  // queues behind the writer
+    *at = s->Now();
+    *held = h.held();
+    *slots = t->slot_count();
+    co_await sim::Delay(s, 5);
+  }(&sim, &table, &second_got_it, &second_held, &slots_while_second_holds));
+  EXPECT_EQ(table.slot_count(), 1u);  // one slot, shared by holder and waiter
+  sim.RunUntil(9);
+  EXPECT_EQ(second_got_it, -1);  // still queued
+  sim.Run();
+  EXPECT_EQ(second_got_it, 10);
+  EXPECT_TRUE(second_held);
+  EXPECT_EQ(slots_while_second_holds, 1u);
+  EXPECT_EQ(table.slot_count(), 0u);  // reclaimed after the last release
+  EXPECT_EQ(sim.Now(), 15);
+}
+
 TEST(LockTable, MixedSharedExclusiveFifo) {
   sim::Simulator sim;
   LockTable table(&sim);

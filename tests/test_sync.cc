@@ -1,9 +1,11 @@
 // Tests for coroutine synchronization primitives: mutual exclusion, FIFO
 // fairness, reader batching, handoff correctness under racing acquires, and
-// the OneShot completion slot used by the RPC layer.
+// the OneShot completion slot used by the RPC layer, and the CpuPool run
+// queue.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/cpu.h"
@@ -285,6 +287,63 @@ TEST(CpuPool, SingleCoreSerializes) {
   }
   sim.Run();
   EXPECT_EQ(finish_times, (std::vector<SimTime>{10, 20, 30}));
+}
+
+// A release hands the core straight to the run-queue front: the caller that
+// just released and immediately asks again (a newcomer arriving between the
+// handoff and the waiter's grant event) queues behind it.
+TEST(CpuPool, HandsOffFifoAndNewcomersNeverBypassTheQueue) {
+  Simulator sim;
+  CpuPool cpu(&sim, 1);
+  std::vector<std::pair<char, SimTime>> done;
+  auto job = [&](char tag, SimTime first, SimTime second) -> Task<void> {
+    co_await cpu.Run(first);
+    done.emplace_back(tag, sim.Now());
+    if (second > 0) {
+      co_await cpu.Run(second);  // arrives with a grant already pending
+      done.emplace_back(static_cast<char>(tag + 1), sim.Now());
+    }
+  };
+  Spawn(job('a', 10, 5));
+  Spawn(job('c', 10, 0));
+  // A newcomer while the queue is non-empty joins its tail.
+  sim.ScheduleAt(5, [&] { Spawn(job('d', 1, 0)); });
+  sim.Run();
+  const std::vector<std::pair<char, SimTime>> want = {
+      {'a', 10}, {'c', 20}, {'d', 21}, {'b', 26}};
+  EXPECT_EQ(done, want);
+  EXPECT_EQ(cpu.busy_time(), 26);
+}
+
+// busy_time is charged when a run starts on a core (immediately, or at its
+// grant event when it queued); run_queue_length counts runs still waiting for
+// a core, so a handed-off run leaves the queue at its release.
+TEST(CpuPool, BusyTimeAndRunQueueLengthTrackGrants) {
+  Simulator sim;
+  CpuPool cpu(&sim, 2);
+  auto job = [&](SimTime cost) -> Task<void> { co_await cpu.Run(cost); };
+  Spawn(job(10));
+  Spawn(job(20));
+  Spawn(job(7));
+  Spawn(job(3));
+  EXPECT_EQ(cpu.busy_time(), 30);  // two cores started
+  EXPECT_EQ(cpu.run_queue_length(), 2u);
+  // Scheduled after the 10-unit run's resume, so it observes the state
+  // between that run's release (the 7-unit run left the queue) and the
+  // grant event that charges the 7-unit run.
+  std::vector<std::pair<SimTime, size_t>> at10;
+  sim.ScheduleAt(10, [&] {
+    at10.emplace_back(cpu.busy_time(), cpu.run_queue_length());
+  });
+  sim.RunUntil(10);
+  EXPECT_EQ(at10, (std::vector<std::pair<SimTime, size_t>>{{30, 1}}));
+  EXPECT_EQ(cpu.busy_time(), 37);
+  EXPECT_EQ(cpu.run_queue_length(), 1u);
+  sim.Run();
+  EXPECT_EQ(cpu.busy_time(), 40);
+  EXPECT_EQ(cpu.run_queue_length(), 0u);
+  EXPECT_EQ(sim.Now(), 20);  // 10+7 on one core, 20 on the other, 3 after 17
+  EXPECT_DOUBLE_EQ(cpu.Utilization(20), 1.0);
 }
 
 }  // namespace

@@ -121,6 +121,69 @@ TEST(SwitchTrackerTest, InsertAckRetryExhaustionIsCountedAndCleanedUp) {
   EXPECT_TRUE(h.vol->op_waits.empty());
 }
 
+// Records every packet delivered to it: a client stand-in that can re-send a
+// request with a call id of its choosing.
+class PacketSink : public net::Node {
+ public:
+  explicit PacketSink(net::Network* net) : id(net->Register(this)) {}
+  void HandlePacket(net::Packet p) override { got.push_back(std::move(p)); }
+
+  net::NodeId id;
+  std::vector<net::Packet> got;
+};
+
+// The dedup cache answers a re-sent create with the client's bare MetaResp:
+// the envelope — and the change-log backlog copy it carries — rides the
+// insert packet once and is not pinned in the cache.
+TEST(SwitchTrackerTest, ReplayedCreateIsAnsweredWithTheBareClientResponse) {
+  TrackerHarness h;
+  h.config.insert_max_attempts = 1;
+  h.config.insert_ack_timeout = sim::Microseconds(50);
+  h.AddPendingEntry(/*fp=*/1234, /*tag=*/1);  // the backlog for the dir below
+  PacketSink client(&h.net);
+  SwitchTracker tracker;
+  auto resp = std::make_shared<core::MetaResp>();
+  resp->attr.mode = 0640;
+  resp->attr.size = 7;
+  h.rpc.SetRequestHandler([&](net::Packet p) {
+    sim::Spawn([](TrackerHarness* hh, SwitchTracker* t, net::Packet req,
+                  net::MsgPtr r) -> sim::Task<void> {
+      core::InodeId dir;
+      dir.w[0] = 1;
+      dir.w[3] = 2;
+      co_await t->Insert(hh->ctx, hh->vol, 1234, dir, &req, std::move(r));
+    }(&h, &tracker, std::move(p), resp));
+  });
+  net::Packet req;
+  req.src = client.id;
+  req.dst = h.rpc.id();
+  req.rpc = net::RpcHeader{/*call_id=*/42, client.id, /*is_response=*/false};
+  auto create = std::make_shared<core::MetaReq>();
+  create->op = core::OpType::kCreate;
+  req.body = create;
+  h.net.Send(req);
+  h.sim.Run();
+  // First delivery: the insert packet carrying the envelope and its backlog.
+  ASSERT_EQ(client.got.size(), 1u);
+  const auto* env = net::MsgAs<core::InsertEnvelope>(client.got[0].body);
+  ASSERT_NE(env, nullptr);
+  EXPECT_EQ(env->backlog.size(), 1u);
+
+  h.net.Send(req);  // the client's retransmit, same call id
+  h.sim.Run();
+  ASSERT_EQ(client.got.size(), 2u);
+  const net::Packet& replay = client.got[1];
+  EXPECT_TRUE(replay.rpc.is_response);
+  EXPECT_EQ(replay.rpc.call_id, 42u);
+  EXPECT_EQ(h.rpc.duplicate_requests_seen(), 1u);
+  EXPECT_EQ(net::MsgAs<core::InsertEnvelope>(replay.body), nullptr);
+  const auto* cached = net::MsgAs<core::MetaResp>(replay.body);
+  ASSERT_NE(cached, nullptr);
+  EXPECT_EQ(cached->attr.mode, 0640u);
+  EXPECT_EQ(cached->attr.size, 7u);
+  EXPECT_EQ(cached->status, StatusCode::kOk);
+}
+
 // ROADMAP fault path: a full dedicated tracker signals overflow, which the
 // server turns into the synchronous-update fallback (§7.3.2 analog).
 TEST(DedicatedTrackerTest, OverflowSignalsSynchronousFallback) {
