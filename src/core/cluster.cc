@@ -310,69 +310,6 @@ void Cluster::WarmClient(SwitchFsClient& client) const {
   }
 }
 
-void Cluster::Checkpoint() {
-  for (auto& d : durables_) {
-    // Truncate the longest applied prefix.
-    uint64_t up_to = 0;
-    for (const kv::WalRecord& r : d->wal.records()) {
-      if (!r.applied) {
-        break;
-      }
-      up_to = r.lsn;
-    }
-    if (up_to > 0) {
-      d->wal.TruncateUpTo(up_to);
-    }
-  }
-}
-
-void AccumulateServerStats(ServerStats& total, const ServerStats& st) {
-  total.ops += st.ops;
-  total.aggregations += st.aggregations;
-  total.agg_groups += st.agg_groups;
-  total.agg_retries += st.agg_retries;
-  total.entries_applied += st.entries_applied;
-  total.entries_deduped += st.entries_deduped;
-  total.pushes_sent += st.pushes_sent;
-  total.pushes_local += st.pushes_local;
-  total.push_failures += st.push_failures;
-  total.push_dirs_sent += st.push_dirs_sent;
-  total.push_entries_sent += st.push_entries_sent;
-  total.pushes_received += st.pushes_received;
-  total.pushes_rebound += st.pushes_rebound;
-  total.entries_rebound += st.entries_rebound;
-  total.agg_rebinds += st.agg_rebinds;
-  total.agg_entries_rebound += st.agg_entries_rebound;
-  total.fallbacks += st.fallbacks;
-  total.stale_cache_bounces += st.stale_cache_bounces;
-  total.wal_replayed += st.wal_replayed;
-  total.insert_exhausted += st.insert_exhausted;
-  total.dir_opens += st.dir_opens;
-  total.dir_pages += st.dir_pages;
-  total.dir_page_entries += st.dir_page_entries;
-  total.dir_sessions_expired += st.dir_sessions_expired;
-  total.dir_sessions_evicted += st.dir_sessions_evicted;
-  total.stale_handle_bounces += st.stale_handle_bounces;
-  total.bulk_inserts += st.bulk_inserts;
-  total.bulk_insert_entries += st.bulk_insert_entries;
-  total.batch_stats += st.batch_stats;
-  total.batch_stat_targets += st.batch_stat_targets;
-  total.batch_stat_dirs += st.batch_stat_dirs;
-  total.setattrs += st.setattrs;
-  total.cache_installs += st.cache_installs;
-  total.cache_evicts += st.cache_evicts;
-  total.cache_evict_exhausted += st.cache_evict_exhausted;
-  total.push_pace_hints += st.push_pace_hints;
-  total.push_paced_drains += st.push_paced_drains;
-  total.push_batches_deduped += st.push_batches_deduped;
-  total.cross_shard_handoffs += st.cross_shard_handoffs;
-  total.wan_batches_shipped += st.wan_batches_shipped;
-  total.wan_entries_applied += st.wan_entries_applied;
-  total.wan_conflicts_lww += st.wan_conflicts_lww;
-  total.wan_catchup_replays += st.wan_catchup_replays;
-  total.wan_entries_dropped += st.wan_entries_dropped;
-}
-
 void Cluster::SetWanSink(WanSink* sink) {
   wan_sink_ = sink;
   for (auto& s : servers_) {

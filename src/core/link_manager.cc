@@ -45,17 +45,10 @@ sim::Task<Status> LinkManager::UpdateLinkCount(VolPtr v, InodeId file_id,
       if (!rec.inode_delete) {
         rec.inode_value = attrs.Encode();
       }
-      co_await ctx_.cpu->Run(ctx_.costs->wal_append);
+      const sim::SimTime kv_cost =
+          rec.inode_delete ? ctx_.costs->kv_delete : ctx_.costs->kv_put;
+      (void)co_await CommitOpRecord(ctx_, v, std::move(rec), kv_cost);
       if (v->dead) co_return UnavailableError();
-      ctx_.durable->wal.Append(kWalOpCommit, rec.Encode());
-      co_await ctx_.cpu->Run(attrs.nlink == 0 ? ctx_.costs->kv_delete
-                                              : ctx_.costs->kv_put);
-      if (v->dead) co_return UnavailableError();
-      if (attrs.nlink == 0) {
-        v->kv.Delete(akey);
-      } else {
-        v->kv.Put(akey, attrs.Encode());
-      }
     }
     if (out != nullptr) {
       *out = attrs;
@@ -143,28 +136,24 @@ sim::Task<void> LinkManager::HandleLinkConvert(net::Packet p, VolPtr v) {
   ref.id = attr.id;
   ref.type = FileType::kReference;
   ref.size = ctx_.config->index;  // attributes stay with the original owner
+  // Two records, one KV charge: the second commit's covers both rows.
   {
     OpCommitRecord rec;
     rec.op = OpType::kLink;
     rec.inode_key = AttrKey(attr.id);
     rec.inode_value = attrs.Encode();
-    co_await ctx_.cpu->Run(ctx_.costs->wal_append);
+    (void)co_await CommitOpRecord(ctx_, v, std::move(rec), 0);
     if (v->dead) co_return;
-    ctx_.durable->wal.Append(kWalOpCommit, rec.Encode());
   }
   {
     OpCommitRecord rec;
     rec.op = OpType::kLink;
     rec.inode_key = ikey;
     rec.inode_value = ref.Encode();
-    co_await ctx_.cpu->Run(ctx_.costs->wal_append);
+    (void)co_await CommitOpRecord(ctx_, v, std::move(rec),
+                                  2 * ctx_.costs->kv_put);
     if (v->dead) co_return;
-    ctx_.durable->wal.Append(kWalOpCommit, rec.Encode());
   }
-  co_await ctx_.cpu->Run(2 * ctx_.costs->kv_put);
-  if (v->dead) co_return;
-  v->kv.Put(AttrKey(attr.id), attrs.Encode());
-  v->kv.Put(ikey, ref.Encode());
   resp->status = StatusCode::kOk;
   resp->file_id = attr.id;
   resp->attr_server = ctx_.config->index;
@@ -228,40 +217,21 @@ sim::Task<void> LinkManager::HandleLink(net::Packet p, VolPtr v) {
   ref.size = conv->attr_server;
 
   {
-    // Per-log append mutex (see HandleRenameCommit): this leg appends while
-    // holding only the destination inode lock, so the captured seq must be
-    // pinned against concurrent appends/renumbering across the WAL await.
-    auto append_lock =
-        co_await v->ShardFor(pfp).changelog_append_locks.AcquireExclusive(
-            ClAppendKey(pfp, dst.pid));
-    if (v->dead) co_return;
-    // sfs-lint: allow(borrow-across-suspend, log slot pinned by the held append mutex — a rebind erase needs this key's append lock, and changelog map nodes are reference-stable)
-    ChangeLog& clog = v->GetChangeLog(pfp, dst.pid);
-    ChangeLogEntry entry;
-    entry.timestamp = ctx_.Now();
-    entry.op = OpType::kCreate;
-    entry.name = dst.name;
-    entry.entry_type = FileType::kFile;
-    entry.size_delta = 1;
-    entry.seq = clog.last_appended_seq() + 1;
-
     OpCommitRecord rec;
     rec.op = OpType::kLink;
     rec.inode_key = ikey;
     rec.inode_value = ref.Encode();
     rec.parent_dir = dst.pid;
     rec.parent_fp = pfp;
-    rec.entry = entry;
+    rec.entry.timestamp = ctx_.Now();
+    rec.entry.op = OpType::kCreate;
+    rec.entry.name = dst.name;
+    rec.entry.entry_type = FileType::kFile;
+    rec.entry.size_delta = 1;
     rec.has_entry = true;
-    co_await ctx_.cpu->Run(ctx_.costs->wal_append);
+    (void)co_await CommitOpRecord(ctx_, v, std::move(rec),
+                                  ctx_.costs->kv_put);
     if (v->dead) co_return;
-    entry.wal_lsn = ctx_.durable->wal.Append(kWalOpCommit, rec.Encode());
-    co_await ctx_.cpu->Run(ctx_.costs->kv_put);
-    if (v->dead) co_return;
-    v->kv.Put(ikey, ref.Encode());
-    co_await ctx_.cpu->Run(ctx_.costs->changelog_append);
-    if (v->dead) co_return;
-    clog.Restore(entry);
   }
 
   auto resp = std::make_shared<MetaResp>(StatusCode::kOk);

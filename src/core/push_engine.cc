@@ -403,10 +403,10 @@ sim::Task<PushResp::AckedDir> PushEngine::ApplySection(
   }
   std::string ikey;
   psw::Fingerprint fp = 0;
-  // Directory unknown here: either removed (rmdir raced the push, or WAL
-  // replay left a stale dir-index row without an inode — hence the inode
-  // check; ApplyEntries would drop the entries silently without advancing
-  // the hwm) or renamed away. A live moved tombstone distinguishes the two:
+  // Directory unknown here: either removed (rmdir raced the push; the inode
+  // check guards an index row without its inode, on which ApplyEntries would
+  // drop the entries silently without advancing the hwm) or renamed away. A
+  // live moved tombstone distinguishes the two:
   //  * renamed away -> kMoved verdict. acked_seq names the prefix this owner
   //    applied before the rename (it migrated with the entry list, so
   //    re-applying at the new owner would double-count); the source re-keys
@@ -427,16 +427,7 @@ sim::Task<PushResp::AckedDir> PushEngine::ApplySection(
       co_return row;
     }
     row.acked_seq = max_seq;
-    if (batch_token != 0) {
-      auto& ts = v->push_tokens[{dir, src}];
-      if (ts.fp == section_fp) {
-        ts.token = std::max(ts.token, batch_token);
-        ts.acked_seq = std::max(ts.acked_seq, row.acked_seq);
-      } else {
-        ts = ServerVolatile::PushTokenState{batch_token, row.acked_seq,
-                                            section_fp};
-      }
-    }
+    v->CommitPushToken(dir, src, section_fp, batch_token, row.acked_seq);
     co_return row;
   }
   // In-switch cache: the apply is about to move the directory's attr
@@ -468,16 +459,7 @@ sim::Task<PushResp::AckedDir> PushEngine::ApplySection(
   // Commit the section's token AFTER the apply: the WAL records carrying it
   // are durable by now, so a crash between apply and ack replays to the same
   // {token, acked_seq} and the duplicate still no-ops.
-  if (batch_token != 0) {
-    auto& ts = v->push_tokens[{dir, src}];
-    if (ts.fp == section_fp) {
-      ts.token = std::max(ts.token, batch_token);
-      ts.acked_seq = std::max(ts.acked_seq, row.acked_seq);
-    } else {
-      ts = ServerVolatile::PushTokenState{batch_token, row.acked_seq,
-                                          section_fp};
-    }
-  }
+  v->CommitPushToken(dir, src, section_fp, batch_token, row.acked_seq);
   co_return row;
 }
 

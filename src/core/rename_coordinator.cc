@@ -282,42 +282,37 @@ sim::Task<void> RenameCoordinator::HandleRenameCommit(net::Packet p, VolPtr v) {
     rec.parent_dir = msg->parent_dir;
     rec.parent_fp = msg->parent_fp;
     rec.has_entry = msg->log_parent_update;
+    rec.entry = entry;
     // The leg's inode key is recomputed from the parent update fields: the
     // leg's (pid, name) is exactly (parent_dir, parent_entry_name).
-    const std::string key = InodeKey(msg->parent_dir, msg->parent_entry_name);
-    rec.inode_key = key;
+    rec.inode_key = leg_key;
     rec.inode_delete = msg->delete_inode;
     if (msg->put_inode) {
-      Attr attr = msg->inode;
-      rec.inode_value = attr.Encode();
+      rec.inode_value = msg->inode.Encode();
       // The migrated entry list must be as durable as the attr that counts
       // it: replay without these rows would resurrect the directory with its
       // pre-move size but an empty listing.
       rec.install_entries = msg->install_entries;
     }
-    // Directory-rename source leg: the moved tombstone is committed with the
-    // removal (same WAL record) so replay re-installs it. The epoch is this
-    // commit's time — successive renames of one directory commit in causal
-    // order, so epochs order tombstones across the chain. The tombstone
-    // takes over the directory's applied high-water marks (rename era
-    // boundary): kMoved verdicts serve them, and the live rows are erased so
-    // a directory that later returns here starts a fresh dedup era.
-    const uint64_t moved_epoch = static_cast<uint64_t>(ctx_.Now());
-    std::vector<std::pair<uint32_t, uint64_t>> moved_applied;
     if (msg->moved_tombstone) {
-      // The fingerprint this tombstone closes: the renamed directory's own
-      // (parent, name) hash at this server — the snapshot below must filter
-      // the hwm lanes by it BEFORE it lands in the record.
+      // Directory-rename source leg: the moved tombstone is committed with
+      // the removal (same WAL record) so replay re-installs it. The epoch is
+      // this commit's time — successive renames of one directory commit in
+      // causal order, so epochs order tombstones across the chain. The
+      // tombstone takes over the applied marks of the fingerprint it closes
+      // (rename era boundary): the renamed directory's own (parent, name)
+      // hash at this server. They are snapshotted into the record here; the
+      // redo erases the live lanes, so a directory that later returns here
+      // starts a fresh dedup era.
       const psw::Fingerprint departing_fp =
           FingerprintOf(msg->parent_dir, msg->parent_entry_name);
-      moved_applied = v->TakeHwmRows(msg->moved_dir, departing_fp);
       rec.has_moved_tombstone = true;
       rec.moved_dir = msg->moved_dir;
       rec.moved_old_fp = departing_fp;
       rec.moved_new_fp = msg->moved_new_fp;
       rec.moved_new_owner = msg->moved_new_owner;
-      rec.moved_epoch = moved_epoch;
-      rec.moved_applied = moved_applied;
+      rec.moved_epoch = static_cast<uint64_t>(ctx_.Now());
+      rec.moved_applied = v->TakeHwmRows(msg->moved_dir, departing_fp);
     }
 
     // In-switch cache: both legs rewrite the row at this (parent, name)
@@ -332,88 +327,16 @@ sim::Task<void> RenameCoordinator::HandleRenameCommit(net::Packet p, VolPtr v) {
         EvictLockWitness::kExternal);
     if (v->dead) co_return;
 
-    // Per-log append mutex: commit legs cannot take the fp-group change-log
-    // lock (it would invert the upsert's cl-then-inode order and deadlock),
-    // so without it the seq captured here went stale against a concurrent
-    // append or moved_fp renumber during the WAL suspension below — the
-    // ROADMAP PR-4 follow-up exposure. Innermost lock; held through Restore.
-    LockTable::Handle append_lock;
-    ChangeLog* clog = nullptr;
-    if (msg->log_parent_update) {
-      append_lock =
-          co_await v->ShardFor(msg->parent_fp)
-              .changelog_append_locks.AcquireExclusive(
-                  ClAppendKey(msg->parent_fp, msg->parent_dir));
-      if (v->dead) co_return;
-      clog = &v->GetChangeLog(msg->parent_fp, msg->parent_dir);
-      entry.seq = clog->last_appended_seq() + 1;
-      rec.entry = entry;
-    }
-    co_await ctx_.cpu->Run(ctx_.costs->wal_append);
+    const sim::SimTime kv_cost =
+        msg->delete_inode ? ctx_.costs->kv_delete : ctx_.costs->kv_put;
+    auto removed = co_await CommitOpRecord(ctx_, v, std::move(rec), kv_cost);
     if (v->dead) co_return;
-    const uint64_t lsn = ctx_.durable->wal.Append(kWalOpCommit, rec.Encode());
-
-    co_await ctx_.cpu->Run(msg->delete_inode ? ctx_.costs->kv_delete
-                                             : ctx_.costs->kv_put);
-    if (v->dead) co_return;
-    if (msg->delete_inode) {
-      auto old = v->kv.Get(key);
-      v->kv.Delete(key);
-      if (old.has_value()) {
-        Attr attr = Attr::Decode(*old);
-        if (attr.is_dir()) {
-          // Export the entry list; it moves with the inode to the new owner.
-          auto blob = std::make_shared<EntryListBlob>();
-          blob->dir = attr.id;
-          v->kv.ScanPrefix(EntryPrefix(attr.id),
-                           [&](const std::string& k, const std::string& val) {
-                             blob->entries.push_back(
-                                 DirEntry{std::string(EntryNameFromKey(k)),
-                                          DecodeEntryValue(val)});
-                             return true;
-                           });
-          for (const DirEntry& e : blob->entries) {
-            v->kv.Delete(EntryKey(attr.id, e.name));
-          }
-          v->kv.Delete(DirIndexKey(attr.id));
-          if (msg->moved_tombstone) {
-            // In place of the bare removal: record where the directory went,
-            // so a push/aggregation that finds it gone re-keys instead of
-            // trimming (PushResp::kMoved / AggDone moved rows).
-            ServerVolatile::MovedDir tomb;
-            tomb.old_fp = rec.moved_old_fp;
-            tomb.new_fp = msg->moved_new_fp;
-            tomb.new_owner = msg->moved_new_owner;
-            tomb.epoch = moved_epoch;
-            tomb.installed_at = ctx_.Now();
-            tomb.applied = std::move(moved_applied);
-            v->InstallMovedTombstone(msg->moved_dir, tomb);
-          }
-          reply = blob;
-        }
-      }
-    } else {
-      v->kv.Put(key, rec.inode_value);
-      if (msg->inode.type == FileType::kDirectory) {
-        // Arrival era hygiene: drop dead-era lanes for the directory.
-        v->TakeHwmRows(msg->inode.id, 0);
-        v->kv.Put(DirIndexKey(msg->inode.id),
-                  EncodeDirIndex(key, FingerprintOf(msg->parent_dir,
-                                                    msg->parent_entry_name)));
-        for (const DirEntry& e : msg->install_entries) {
-          v->kv.Put(EntryKey(msg->inode.id, e.name), EncodeEntryValue(e.type));
-        }
-      }
-    }
-    if (clog != nullptr) {
-      co_await ctx_.cpu->Run(ctx_.costs->changelog_append);
-      if (v->dead) co_return;
-      entry.wal_lsn = lsn;
-      // Re-obtain the log rather than reuse `clog`: the append mutex held
-      // above excludes concurrent appends and rebind renumbering, but the
-      // slot map itself is not under it, so a stale pointer is still not
-      // worth the risk across the suspensions above.
-      v->GetChangeLog(msg->parent_fp, msg->parent_dir).Restore(entry);
+    if (removed.has_value()) {
+      // Export the entry list; it moves with the inode to the new owner.
+      auto blob = std::make_shared<EntryListBlob>();
+      blob->dir = removed->id;
+      blob->entries = std::move(removed->entries);
+      reply = blob;
     }
   }
 

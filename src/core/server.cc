@@ -154,7 +154,6 @@ void SwitchServer::OnRequest(net::Packet p) {
         case OpType::kStat:
         case OpType::kOpen:
         case OpType::kClose:
-        case OpType::kChmod:
           sim::Spawn(HandleFileOp(std::move(p), std::move(v)));
           break;
         case OpType::kRename:
@@ -416,19 +415,8 @@ sim::Task<void> SwitchServer::HandleUpsert(net::Packet p, VolPtr v) {
   co_await EvictSwitchCacheEntry(ctx_, v, FingerprintOf(ref.pid, ref.name));
   if (v->dead) co_return;
 
-  // Step 4: persistent commit (WAL). The per-log append mutex pins the
-  // captured seq across the WAL/KV suspensions: rename and link commit legs
-  // append to this log WITHOUT the fp-group lock (taking it would invert
-  // the cl-then-inode order), so the group lock alone does not serialize
-  // sequence assignment.
+  // Steps 4-5: persistent commit (WAL), then execute locally.
   {
-    auto append_lock =
-        co_await v->ShardFor(pfp).changelog_append_locks.AcquireExclusive(
-            ClAppendKey(pfp, ref.pid));
-    if (v->dead) co_return;
-    // sfs-lint: allow(borrow-across-suspend, log slot pinned by the held append mutex — a rebind erase needs this key's append lock, and changelog map nodes are reference-stable)
-    ChangeLog& clog = v->GetChangeLog(pfp, ref.pid);
-    entry.seq = clog.last_appended_seq() + 1;
     OpCommitRecord rec;
     rec.op = req->op;
     rec.inode_key = ikey;
@@ -440,28 +428,10 @@ sim::Task<void> SwitchServer::HandleUpsert(net::Packet p, VolPtr v) {
     rec.parent_fp = pfp;
     rec.entry = entry;
     rec.has_entry = true;
-    co_await cpu_.Run(costs_->wal_append);
+    const sim::SimTime kv_cost =
+        rec.inode_delete ? costs_->kv_delete : costs_->kv_put;
+    (void)co_await CommitOpRecord(ctx_, v, std::move(rec), kv_cost);
     if (v->dead) co_return;
-    const uint64_t lsn = durable_->wal.Append(kWalOpCommit, rec.Encode());
-
-    // Step 5: execute locally.
-    co_await cpu_.Run(rec.inode_delete ? costs_->kv_delete : costs_->kv_put);
-    if (v->dead) co_return;
-    if (rec.inode_delete) {
-      v->kv.Delete(ikey);
-    } else {
-      v->kv.Put(ikey, rec.inode_value);
-      if (req->op == OpType::kMkdir) {
-        // New directory: its fingerprint group is this very key's hash, so
-        // we are its owner; index id -> inode key for aggregation applies.
-        v->kv.Put(DirIndexKey(attr.id),
-                  EncodeDirIndex(ikey, FingerprintOf(ref.pid, ref.name)));
-      }
-    }
-    co_await cpu_.Run(costs_->changelog_append);
-    if (v->dead) co_return;
-    entry.wal_lsn = lsn;
-    clog.Restore(entry);
   }
 
   auto resp = std::make_shared<MetaResp>(StatusCode::kOk);
@@ -1264,12 +1234,8 @@ sim::Task<void> SwitchServer::HandleSetAttr(net::Packet p, VolPtr v) {
     rec.op = OpType::kSetAttr;
     rec.inode_key = ikey;
     rec.inode_value = attr.Encode();
-    co_await cpu_.Run(costs_->wal_append);
+    (void)co_await CommitOpRecord(ctx_, v, std::move(rec), costs_->kv_put);
     if (v->dead) co_return;
-    durable_->wal.Append(kWalOpCommit, rec.Encode());
-    co_await cpu_.Run(costs_->kv_put);
-    if (v->dead) co_return;
-    v->kv.Put(ikey, attr.Encode());
     if (req->delta.set_mode && attr.is_dir() && attr.id != RootId()) {
       // Permission changes on directories invalidate client caches (§4.2);
       // the root is exempt (clients cannot re-look it up).
@@ -1391,68 +1357,34 @@ sim::Task<void> SwitchServer::HandleBulkInsert(net::Packet p, VolPtr v) {
     if (v->dead) co_return;
   }
 
-  // Persistent commit: ONE WAL record covers the whole batch. The per-log
-  // append mutex pins the captured seq range across the WAL/KV suspensions
-  // (see HandleUpsert).
+  // Persistent commit: ONE WAL record covers the whole batch.
   BulkCommitRecord rec;
   rec.parent_dir = ref.pid;
   rec.parent_fp = pfp;
-  {
-    auto append_lock =
-        co_await v->ShardFor(pfp).changelog_append_locks.AcquireExclusive(
-            ClAppendKey(pfp, ref.pid));
-    if (v->dead) co_return;
-    // sfs-lint: allow(borrow-across-suspend, log slot pinned by the held append mutex — a rebind erase needs this key's append lock, and changelog map nodes are reference-stable)
-    ChangeLog& clog = v->GetChangeLog(pfp, ref.pid);
-    uint64_t seq = clog.last_appended_seq();
-    const int64_t now = Now();
-    rec.items.reserve(admitted_idx.size());
-    for (size_t i : admitted_idx) {
-      const std::string& name = req->bulk_names[i];
-      Attr attr;
-      attr.id = NewInodeId();
-      attr.type = FileType::kFile;
-      attr.mode = req->mode;
-      attr.ctime = attr.mtime = attr.atime = now;
-      resp->batch_attrs[i] = attr;
-      BulkCommitRecord::Item item;
-      item.inode_key = InodeKey(ref.pid, name);
-      item.inode_value = attr.Encode();
-      item.entry.timestamp = now;
-      item.entry.name = name;
-      item.entry.op = OpType::kCreate;
-      item.entry.entry_type = FileType::kFile;
-      item.entry.size_delta = 1;
-      item.entry.seq = ++seq;
-      rec.items.push_back(std::move(item));
-    }
-    // The first item pays the full append; the rest ride at the batched
-    // marginal cost (same model as the push path's group append).
-    co_await cpu_.Run(costs_->wal_append +
-                      static_cast<sim::SimTime>(rec.items.size() - 1) *
-                          costs_->wal_append_batched);
-    if (v->dead) co_return;
-    const uint64_t lsn = durable_->wal.Append(kWalBulkCommit, rec.Encode());
-
-    co_await cpu_.Run(static_cast<sim::SimTime>(rec.items.size()) *
-                      costs_->kv_put);
-    if (v->dead) co_return;
-    for (const BulkCommitRecord::Item& item : rec.items) {
-      v->kv.Put(item.inode_key, item.inode_value);
-    }
-    co_await cpu_.Run(costs_->changelog_append);
-    if (v->dead) co_return;
-    // Entries ack in FIFO order, so the shared record may be marked applied
-    // only when its LAST entry acks — the others carry lsn 0 (a no-op for
-    // Wal::MarkApplied). A partial ack followed by a crash replays the
-    // whole batch; the owner's high-water mark dedups the applied prefix.
-    for (size_t k = 0; k < rec.items.size(); ++k) {
-      ChangeLogEntry entry = rec.items[k].entry;
-      entry.wal_lsn = k + 1 == rec.items.size() ? lsn : 0;
-      clog.Restore(std::move(entry));
-    }
+  rec.items.reserve(admitted_idx.size());
+  const int64_t now = Now();
+  for (size_t i : admitted_idx) {
+    const std::string& name = req->bulk_names[i];
+    Attr attr;
+    attr.id = NewInodeId();
+    attr.type = FileType::kFile;
+    attr.mode = req->mode;
+    attr.ctime = attr.mtime = attr.atime = now;
+    resp->batch_attrs[i] = attr;
+    BulkCommitRecord::Item item;
+    item.inode_key = InodeKey(ref.pid, name);
+    item.inode_value = attr.Encode();
+    item.entry.timestamp = now;
+    item.entry.name = name;
+    item.entry.op = OpType::kCreate;
+    item.entry.entry_type = FileType::kFile;
+    item.entry.size_delta = 1;
+    rec.items.push_back(std::move(item));
   }
-  stats_.bulk_insert_entries += rec.items.size();
+  const size_t committed = rec.items.size();
+  co_await CommitBulkRecord(ctx_, v, std::move(rec));
+  if (v->dead) co_return;
+  stats_.bulk_insert_entries += committed;
 
   if (!config_.async_updates) {
     // Conventional synchronous update (Baseline of §7.3.1). Owner
@@ -1579,40 +1511,22 @@ sim::Task<void> SwitchServer::HandleRmdir(net::Packet p, VolPtr v) {
   co_await EvictSwitchCacheEntry(ctx_, v, target_fp);
   if (v->dead) co_return;
 
-  // Step 8: commit (append mutex: see HandleUpsert's commit section).
+  // Step 8: commit. The redo drops the directory's index row with its inode.
   {
-    auto append_lock = co_await v->ShardFor(pfp).changelog_append_locks.AcquireExclusive(
-        ClAppendKey(pfp, ref.pid));
-    if (v->dead) co_return;
-    // sfs-lint: allow(borrow-across-suspend, log slot pinned by the held append mutex — a rebind erase needs this key's append lock, and changelog map nodes are reference-stable)
-    ChangeLog& clog = v->GetChangeLog(pfp, ref.pid);
-    ChangeLogEntry entry;
-    entry.timestamp = Now();
-    entry.op = OpType::kRmdir;
-    entry.name = ref.name;
-    entry.entry_type = FileType::kDirectory;
-    entry.size_delta = -1;
-    entry.seq = clog.last_appended_seq() + 1;
-
     OpCommitRecord rec;
     rec.op = OpType::kRmdir;
     rec.inode_key = ikey;
     rec.inode_delete = true;
     rec.parent_dir = ref.pid;
     rec.parent_fp = pfp;
-    rec.entry = entry;
+    rec.entry.timestamp = Now();
+    rec.entry.op = OpType::kRmdir;
+    rec.entry.name = ref.name;
+    rec.entry.entry_type = FileType::kDirectory;
+    rec.entry.size_delta = -1;
     rec.has_entry = true;
-    co_await cpu_.Run(costs_->wal_append);
+    (void)co_await CommitOpRecord(ctx_, v, std::move(rec), costs_->kv_delete);
     if (v->dead) co_return;
-    entry.wal_lsn = durable_->wal.Append(kWalOpCommit, rec.Encode());
-
-    co_await cpu_.Run(costs_->kv_delete);
-    if (v->dead) co_return;
-    v->kv.Delete(ikey);
-    v->kv.Delete(DirIndexKey(attr.id));
-    co_await cpu_.Run(costs_->changelog_append);
-    if (v->dead) co_return;
-    clog.Restore(entry);
   }
 
   auto resp = std::make_shared<MetaResp>(StatusCode::kOk);
@@ -1644,16 +1558,7 @@ sim::Task<void> SwitchServer::HandleFileOp(net::Packet p, VolPtr v) {
   }
 
   const std::string ikey = InodeKey(ref.pid, ref.name);
-  const bool write = req->op == OpType::kChmod;
-  // NOTE: never combine co_await with the conditional operator — GCC 12
-  // miscompiles `c ? co_await a : co_await b` (shared frame slots for the
-  // branch temporaries corrupt RAII state).
-  LockTable::Handle lock;
-  if (write) {
-    lock = co_await v->ShardForKey(ikey).inode_locks.AcquireExclusive(ikey);
-  } else {
-    lock = co_await v->ShardForKey(ikey).inode_locks.AcquireShared(ikey);
-  }
+  auto lock = co_await v->ShardForKey(ikey).inode_locks.AcquireShared(ikey);
   if (v->dead) co_return;
   co_await cpu_.Run(costs_->path_check *
                     static_cast<sim::SimTime>(1 + ref.ancestors.size()));
@@ -1674,18 +1579,13 @@ sim::Task<void> SwitchServer::HandleFileOp(net::Packet p, VolPtr v) {
   Attr attr = Attr::Decode(*value);
   if (attr.type == FileType::kReference) {
     // Hard link: the real attributes live in the shared object (§5.5).
-    AttrDelta delta;
-    if (req->op == OpType::kChmod) {
-      delta.set_mode = true;
-      delta.mode = req->mode;
-    }
     Attr shared;
     // A failed update (attributes owner unreachable) must surface — the
     // mutation did NOT commit, and replying kOk would hand the client a
     // default-constructed Attr as the new truth (see HandleSetAttr's leg).
     Status s = co_await links_.UpdateLinkCount(v, attr.id,
                                                static_cast<uint32_t>(attr.size),
-                                               /*delta=*/0, &shared, delta);
+                                               /*delta=*/0, &shared);
     if (v->dead) co_return;
     if (!s.ok()) {
       RespondStatus(p, s.code());
@@ -1698,39 +1598,11 @@ sim::Task<void> SwitchServer::HandleFileOp(net::Packet p, VolPtr v) {
     rpc_.Respond(p, resp2);
     co_return;
   }
-  if (req->op == OpType::kChmod) {
-    // In-switch cache: evict before the KV commit (chmod's commit point),
-    // under the exclusive lock.
-    co_await EvictSwitchCacheEntry(ctx_, v, FingerprintOf(ref.pid, ref.name));
-    if (v->dead) co_return;
-    attr.mode = req->mode;
-    attr.ctime = Now();
-    co_await cpu_.Run(costs_->kv_put);
-    if (v->dead) co_return;
-    v->kv.Put(ikey, attr.Encode());
-    if (attr.is_dir() && attr.id != RootId()) {
-      // Permission changes on directories invalidate client caches (§4.2).
-      // The root is exempt: clients cannot re-look it up (it has no parent),
-      // and servers check root permissions directly.
-      v->inval.Add(attr.id, Now());
-      auto bcast = std::make_shared<InvalBroadcast>();
-      bcast->id = attr.id;
-      net::Packet mc;
-      mc.dst = net::kServerMulticast;
-      mc.ds.origin = node_id();
-      // Defense-in-depth evict stamp (see HandleSetAttr's broadcast).
-      mc.mc.op = net::McOp::kEvict;
-      mc.mc.fingerprint = FingerprintOf(ref.pid, ref.name);
-      mc.body = bcast;
-      rpc_.Send(std::move(mc));
-    }
-  }
   auto resp = std::make_shared<MetaResp>(StatusCode::kOk);
   resp->attr = attr;
   co_await cpu_.Run(costs_->reply_build);
   if (v->dead) co_return;
-  // stat/open piggyback a cache install; chmod requests carry no mc.kRead
-  // stamp, so the helper degrades to a plain respond for them.
+  // stat/open piggyback a cache install.
   RespondWithInstall(p, resp, v, attr, Now());
 }
 
@@ -1767,208 +1639,6 @@ sim::Task<void> SwitchServer::HandleLookup(net::Packet p, VolPtr v) {
   resp->attr = Attr::Decode(*value);
   resp->read_at = Now();
   RespondWithInstall(p, resp, v, resp->attr, resp->read_at);
-}
-
-// ---------------------------------------------------------------------------
-// Crash & recovery (§5.4.2, §A.1)
-// ---------------------------------------------------------------------------
-
-void SwitchServer::Crash() {
-  vol_->dead = true;
-  vol_ = std::make_shared<ServerVolatile>(sim_, config_.shard_count);
-  vol_->dead = true;  // stays dead until Recover() finishes the replay
-  serving_ = false;
-  rpc_.SetEnabled(false);
-  rpc_.ResetVolatileState();
-}
-
-void SwitchServer::ReplayWalInto(ServerVolatile& v) {
-  // Both dirent record kinds (kWalEntryApply, kWalWanApply) redo through the
-  // row mutation their runtime apply ran; a directory removed later in the
-  // log has no index row and is skipped.
-  const auto redo_dirent = [&v](const InodeId& dir, const ChangeLogEntry& e,
-                                const LwwStamp& stamp, uint64_t result_size,
-                                int64_t result_mtime) {
-    std::string ikey;
-    psw::Fingerprint fp = 0;
-    if (v.LookupDirIndex(dir, &ikey, &fp)) {
-      v.RedoDirent(dir, ikey, e, stamp, result_size, result_mtime);
-    }
-  };
-  for (const kv::WalRecord& r : durable_->wal.records()) {
-    stats_.wal_replayed++;
-    switch (r.type) {
-      case kWalOpCommit: {
-        OpCommitRecord rec = OpCommitRecord::Decode(r.payload);
-        if (!rec.inode_key.empty()) {
-          if (rec.inode_delete) {
-            v.kv.Delete(rec.inode_key);
-          } else {
-            v.kv.Put(rec.inode_key, rec.inode_value);
-            if (rec.op == OpType::kMkdir ||
-                (rec.op == OpType::kRename && !rec.inode_value.empty())) {
-              Attr attr = Attr::Decode(rec.inode_value);
-              if (attr.is_dir()) {
-                // Rebuild the id -> inode-key index. The key embeds
-                // (pid, name), from which the fingerprint re-derives.
-                const std::string name = rec.inode_key.substr(33);
-                InodeId pid;
-                std::memcpy(pid.w.data(), rec.inode_key.data() + 1, 32);
-                if (rec.op == OpType::kRename) {
-                  // Arrival era boundary, as at runtime: earlier-era applied
-                  // marks replayed from EntryApply records must not dedup
-                  // this era's renumbered entries.
-                  v.TakeHwmRows(attr.id, 0);
-                }
-                v.kv.Put(DirIndexKey(attr.id),
-                         EncodeDirIndex(rec.inode_key,
-                                        FingerprintOf(pid, name)));
-                // Rename destination leg: re-install the migrated entry
-                // list (it is as committed as the attr whose size counts it).
-                for (const DirEntry& e : rec.install_entries) {
-                  v.kv.Put(EntryKey(attr.id, e.name),
-                           EncodeEntryValue(e.type));
-                }
-              }
-            }
-          }
-          // rmdir's inode_delete covers the inode row; any stale dir-index
-          // row is harmless (the inode key it points to is gone, so
-          // ApplyEntries drops obsolete entries).
-        }
-        if (rec.has_entry && !r.applied) {
-          ChangeLogEntry e = rec.entry;
-          e.wal_lsn = r.lsn;
-          v.GetChangeLog(rec.parent_fp, rec.parent_dir).Restore(std::move(e));
-        }
-        if (rec.has_moved_tombstone) {
-          // Re-install the moved tombstone so rename-away stays
-          // distinguishable from removed across a crash of the old owner
-          // (in-flight change-logs elsewhere still need the rebind verdict).
-          // The TTL restarts at replay time; install order is irrelevant
-          // (newest epoch wins). Departure era boundary, as at runtime: the
-          // tombstone takes over the applied marks, the live rows go — and
-          // so does the dir-index row (the runtime source leg deleted it;
-          // a stale replayed row would mask the tombstone consult).
-          v.kv.Delete(DirIndexKey(rec.moved_dir));
-          v.TakeHwmRows(rec.moved_dir, rec.moved_old_fp);
-          ServerVolatile::MovedDir tomb;
-          tomb.old_fp = rec.moved_old_fp;
-          tomb.new_fp = rec.moved_new_fp;
-          tomb.new_owner = rec.moved_new_owner;
-          tomb.epoch = rec.moved_epoch;
-          tomb.installed_at = Now();
-          tomb.applied = rec.moved_applied;
-          v.InstallMovedTombstone(rec.moved_dir, tomb);
-        }
-        break;
-      }
-      case kWalBulkCommit: {
-        BulkCommitRecord rec = BulkCommitRecord::Decode(r.payload);
-        for (const BulkCommitRecord::Item& item : rec.items) {
-          v.kv.Put(item.inode_key, item.inode_value);
-        }
-        if (!r.applied) {
-          // The record is marked applied only once its LAST entry acked, so
-          // an un-applied record restores the whole batch; the owner's
-          // high-water mark dedups any already-applied prefix on re-push.
-          ChangeLog& clog = v.GetChangeLog(rec.parent_fp, rec.parent_dir);
-          for (size_t i = 0; i < rec.items.size(); ++i) {
-            ChangeLogEntry e = rec.items[i].entry;
-            e.wal_lsn = i + 1 == rec.items.size() ? r.lsn : 0;
-            clog.Restore(std::move(e));
-          }
-        }
-        break;
-      }
-      case kWalEntryApply: {
-        EntryApplyRecord rec = EntryApplyRecord::Decode(r.payload);
-        if (rec.batch_token != 0) {
-          // Rebuild the duplicate-push filter with ApplySection's commit
-          // logic: era-scoped max-merge of {token, acked_seq} per (dir,
-          // src). Runs before the hwm dedup below — a replayed duplicate
-          // record still names the committed token.
-          auto& ts = v.push_tokens[{rec.dir, rec.src_server}];
-          if (ts.fp == rec.fp && ts.token != 0) {
-            ts.token = std::max(ts.token, rec.batch_token);
-            ts.acked_seq = std::max(ts.acked_seq, rec.entry.seq);
-          } else if (rec.batch_token > ts.token) {
-            ts = ServerVolatile::PushTokenState{rec.batch_token,
-                                                rec.entry.seq, rec.fp};
-          }
-        }
-        uint64_t& high = v.hwm[{rec.dir, rec.src_server, rec.fp}];
-        if (rec.entry.seq <= high) {
-          break;  // already applied (idempotent redo)
-        }
-        high = rec.entry.seq;
-        // Records exist only for entries that won their LWW comparison at
-        // runtime, so replay redoes them unconditionally; the max-merged
-        // stamps only need to be correct for FUTURE arrivals (a late
-        // cross-era or WAN entry after recovery).
-        redo_dirent(rec.dir, rec.entry,
-                    LwwStamp{rec.entry.timestamp, config_.cluster_id,
-                             rec.src_server, rec.entry.seq},
-                    rec.result_size, rec.result_mtime);
-        break;
-      }
-      case kWalWanApply: {
-        // Geo-replicated apply: the same redo, stamped with the origin.
-        WanApplyRecord rec = WanApplyRecord::Decode(r.payload);
-        redo_dirent(rec.dir, rec.entry,
-                    LwwStamp{rec.entry.timestamp, rec.origin_cluster,
-                             rec.src_server, rec.entry.seq},
-                    rec.result_size, rec.result_mtime);
-        break;
-      }
-      default:
-        break;
-    }
-  }
-}
-
-sim::Task<void> SwitchServer::Recover() {
-  // Fresh volatile incarnation.
-  auto v = std::make_shared<ServerVolatile>(sim_, config_.shard_count);
-  ReplayWalInto(*v);
-  vol_ = v;
-  rpc_.SetEnabled(true);
-
-  // Charge the redo cost: dominated by per-record work (§7.7).
-  const size_t records = durable_->wal.record_count();
-  const size_t chunk = 256;
-  for (size_t i = 0; i < records; i += chunk) {
-    const size_t n = std::min(chunk, records - i);
-    co_await cpu_.Run(static_cast<sim::SimTime>(n) *
-                      costs_->wal_replay_per_record);
-    if (v->dead) co_return;
-  }
-
-  SeedRoot();  // re-seed if we own the root
-
-  // Flush rebuilt backlogs and re-aggregate owned directories so interrupted
-  // aggregations complete (§A.1).
-  co_await FlushAllChangeLogs();
-  if (v->dead) co_return;
-  co_await AggregateAllOwnedDirs();
-  if (v->dead) co_return;
-
-  // Clone the invalidation list from a healthy peer (§5.4.2).
-  for (uint32_t s = 0; s < cluster_->ServerCount(); ++s) {
-    if (s == config_.index) {
-      continue;
-    }
-    auto r = co_await rpc_.Call(cluster_->ServerNode(s),
-                                net::MakeMsg<InvalCloneReq>());
-    if (v->dead) co_return;
-    if (r.ok()) {
-      if (const auto* resp = net::MsgAs<InvalCloneResp>(*r)) {
-        v->inval.Merge(resp->entries);
-        break;
-      }
-    }
-  }
-  serving_ = true;
 }
 
 // ---------------------------------------------------------------------------
@@ -2065,8 +1735,7 @@ sim::Task<void> SwitchServer::ApplyWanEntryTask(
     jc->Done();
     co_return;
   }
-  v->RedoDirent(we.dir, ikey, we.entry, incoming, rec.result_size,
-                rec.result_mtime);
+  v->RedoWanApply(rec);
   stats_.wan_entries_applied++;
   result->applied++;
   jc->Done();
@@ -2134,11 +1803,7 @@ SwitchServer::MigrationBatch SwitchServer::ExtractMisplaced(
   // Inodes ("i" keys) move when their (pid, name) hash moves; entry lists
   // and dir-index rows follow their directory's inode.
   v->kv.ScanPrefix("i", [&](const std::string& key, const std::string& value) {
-    const std::string name = key.substr(33);
-    InodeId pid;
-    std::memcpy(pid.w.data(), key.data() + 1, 32);
-    const psw::Fingerprint fp = FingerprintOf(pid, name);
-    if (ring.Owner(fp) != config_.index) {
+    if (ring.Owner(FingerprintFromInodeKey(key)) != config_.index) {
       batch.pairs.emplace_back(key, value);
       doomed.push_back(key);
       Attr attr = Attr::Decode(value);

@@ -11,7 +11,8 @@
 //
 // The server itself keeps the client-facing upsert/read handlers (§5.2.1,
 // §5.2.3), the deferred-update publication machinery (insert-ack wait,
-// dirty-set overflow fallback, §6.2), and crash/recovery (§5.4.2, §A.1).
+// dirty-set overflow fallback, §6.2), and crash/recovery (§5.4.2, §A.1;
+// defined in wal_redo.cc beside the per-record redo functions).
 //
 // Request handlers are coroutines; each captures a shared_ptr to the
 // server's volatile state (ServerVolatile) so a simulated crash can
@@ -126,7 +127,7 @@ class SwitchServer : public UpdatePublisher {
   sim::Task<void> HandleUpsert(net::Packet p, VolPtr v);   // create/mkdir/delete
   sim::Task<void> HandleRmdir(net::Packet p, VolPtr v);
   sim::Task<void> HandleDirRead(net::Packet p, VolPtr v);  // statdir/readdir
-  sim::Task<void> HandleFileOp(net::Packet p, VolPtr v);   // stat/open/close/chmod
+  sim::Task<void> HandleFileOp(net::Packet p, VolPtr v);   // stat/open/close
   sim::Task<void> HandleLookup(net::Packet p, VolPtr v);
   // MetadataService v2: directory streams, batched lookups, attr deltas.
   sim::Task<void> HandleOpenDir(net::Packet p, VolPtr v);
@@ -170,6 +171,7 @@ class SwitchServer : public UpdatePublisher {
 
   // ---- recovery helpers ----
   sim::Task<void> HandleInvalClone(net::Packet p, VolPtr v);
+  // Decodes each WAL record and calls its kind's ServerVolatile redo.
   void ReplayWalInto(ServerVolatile& v);
 
   // ---- WAN replay (geo-replication apply leg) ----

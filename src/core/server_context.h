@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -36,6 +37,7 @@
 #include "src/core/schema.h"
 #include "src/core/shard.h"
 #include "src/core/types.h"
+#include "src/core/wal_records.h"
 #include "src/kv/kvstore.h"
 #include "src/kv/wal.h"
 #include "src/net/rpc.h"
@@ -203,86 +205,101 @@ struct DurableState {
   uint64_t id_counter = 1;  // inode-id generation must not repeat
 };
 
-// Protocol counters surfaced to tests and benches.
+// Protocol counters surfaced to tests and benches: the one list of them.
+// SFS_SERVER_STATS(X) applies X(name) to every uint64_t counter, in
+// declaration order; ServerStats declares them from it and
+// AccumulateServerStats sums them from it, so a counter is added or removed
+// on one line here. (Comments are block comments: a line comment would
+// swallow the macro's line continuation.)
+#define SFS_SERVER_STATS(X)                                                  \
+  X(ops)                                                                     \
+  /* Aggregation rounds, and the fingerprint groups they cleared (a round    \
+     covers a set of groups): agg_groups / aggregations is groups per       \
+     round. */                                                               \
+  X(aggregations)                                                            \
+  X(agg_groups)                                                              \
+  X(agg_retries)                                                             \
+  X(entries_applied)                                                         \
+  X(entries_deduped)                                                         \
+  /* Push-path counters. pushes_sent counts PushReq packets whose RPC round  \
+     trip succeeded; failures and owner-local applies are counted           \
+     separately (they never hit the network). */                             \
+  X(pushes_sent)                                                             \
+  X(pushes_local)                                                            \
+  X(push_failures)                                                           \
+  X(push_dirs_sent)    /* PerDir sections across sent packets */             \
+  X(push_entries_sent) /* entries across sent packets */                     \
+  X(pushes_received)                                                         \
+  /* moved_fp rebinds (§5.2 rename race): change-logs re-keyed to a renamed  \
+     directory's new fingerprint instead of trimmed, counted at the source  \
+     performing the rebind. pushes_rebound/entries_rebound come from kMoved \
+     PushResp sections; agg_rebinds/agg_entries_rebound from AggDone moved  \
+     rows (the aggregation-path equivalent). */                              \
+  X(pushes_rebound)                                                          \
+  X(entries_rebound)                                                         \
+  X(agg_rebinds)                                                             \
+  X(agg_entries_rebound)                                                     \
+  X(fallbacks)                                                               \
+  X(stale_cache_bounces)                                                     \
+  X(wal_replayed)                                                            \
+  /* MetadataService v2 (directory streams, batched lookups, setattr). */    \
+  X(dir_opens)                                                               \
+  X(dir_pages)            /* ReaddirPage calls served */                     \
+  X(dir_page_entries)     /* entries across served pages */                 \
+  X(dir_sessions_expired) /* watchdog/lazy TTL expiries */                   \
+  X(dir_sessions_evicted) /* LRU evictions past max_dir_sessions */          \
+  X(stale_handle_bounces) /* pages against dead sessions */                  \
+  X(batch_stats)          /* BatchStat requests served */                    \
+  X(batch_stat_targets)   /* targets across those requests */                \
+  X(batch_stat_dirs)      /* BatchStatDir requests served */                 \
+  X(setattrs)                                                                \
+  X(bulk_inserts)        /* BulkInsert requests served */                    \
+  X(bulk_insert_entries) /* entries across those requests */                 \
+  /* Dirty-set inserts whose ack retry budget ran out (the entry stays in    \
+     the change-log; the push path repairs tracker visibility). */           \
+  X(insert_exhausted)                                                        \
+  /* In-switch metadata read cache (owner side): installs piggybacked on     \
+     read replies, pre-commit evict round trips, and evict retry budgets    \
+     that ran out (the write proceeded; see                                 \
+     ServerConfig::cache_evict_max_attempts). */                             \
+  X(cache_installs)                                                          \
+  X(cache_evicts)                                                            \
+  X(cache_evict_exhausted)                                                   \
+  /* Adaptive push pacing: PushResps stamped with a retry_after hint (owner  \
+     side) and drains deferred by a received hint (source side). */         \
+  X(push_pace_hints)                                                         \
+  X(push_paced_drains)                                                       \
+  /* Sharded owner: push-batch sections whose (dir, src) idempotency token   \
+     was already committed (duplicate delivery no-oped and re-acked), and   \
+     cross-shard handoff tasks enqueued (rename legs, hard-link splits). */ \
+  X(push_batches_deduped)                                                    \
+  X(cross_shard_handoffs)                                                    \
+  /* WAN replication (src/wan/). Shipped/catch-up counters are bumped by the \
+     cluster-level replicator (registered into Cluster::TotalStats as an    \
+     extra stats block); applied/conflict counters are bumped by the owner  \
+     server applying (or LWW-dropping) an entry. wan_conflicts_lww also     \
+     counts LOCAL cross-era LWW drops (the phantom-dirent resolver) — the   \
+     same comparison at the same apply point. */                             \
+  X(wan_batches_shipped)                                                     \
+  X(wan_entries_applied)                                                     \
+  X(wan_conflicts_lww)                                                       \
+  X(wan_catchup_replays)                                                     \
+  /* WAN entries dropped because the directory is unknown at this cluster    \
+     (outside the shared replicated namespace, or removed here). */          \
+  X(wan_entries_dropped)
+
 struct ServerStats {
-  uint64_t ops = 0;
-  // Aggregation rounds, and the fingerprint groups they cleared (a round
-  // covers a set of groups): agg_groups / aggregations is groups per round.
-  uint64_t aggregations = 0;
-  uint64_t agg_groups = 0;
-  uint64_t agg_retries = 0;
-  uint64_t entries_applied = 0;
-  uint64_t entries_deduped = 0;
-  // Push-path counters. pushes_sent counts PushReq packets whose RPC round
-  // trip succeeded; failures and owner-local applies are counted separately
-  // (they never hit the network).
-  uint64_t pushes_sent = 0;
-  uint64_t pushes_local = 0;
-  uint64_t push_failures = 0;
-  uint64_t push_dirs_sent = 0;     // PerDir sections across sent packets
-  uint64_t push_entries_sent = 0;  // entries across sent packets
-  uint64_t pushes_received = 0;
-  // moved_fp rebinds (§5.2 rename race): change-logs re-keyed to a renamed
-  // directory's new fingerprint instead of trimmed, counted at the source
-  // performing the rebind. pushes_rebound/entries_rebound come from kMoved
-  // PushResp sections; agg_rebinds/agg_entries_rebound from AggDone moved
-  // rows (the aggregation-path equivalent).
-  uint64_t pushes_rebound = 0;
-  uint64_t entries_rebound = 0;
-  uint64_t agg_rebinds = 0;
-  uint64_t agg_entries_rebound = 0;
-  uint64_t fallbacks = 0;
-  uint64_t stale_cache_bounces = 0;
-  uint64_t wal_replayed = 0;
-  // MetadataService v2 (directory streams, batched lookups, setattr).
-  uint64_t dir_opens = 0;
-  uint64_t dir_pages = 0;           // ReaddirPage calls served
-  uint64_t dir_page_entries = 0;    // entries across served pages
-  uint64_t dir_sessions_expired = 0;  // watchdog/lazy TTL expiries
-  uint64_t dir_sessions_evicted = 0;  // LRU evictions past max_dir_sessions
-  uint64_t stale_handle_bounces = 0;  // pages against dead sessions
-  uint64_t batch_stats = 0;           // BatchStat requests served
-  uint64_t batch_stat_targets = 0;    // targets across those requests
-  uint64_t batch_stat_dirs = 0;       // BatchStatDir requests served
-  uint64_t setattrs = 0;
-  uint64_t bulk_inserts = 0;          // BulkInsert requests served
-  uint64_t bulk_insert_entries = 0;   // entries across those requests
-  // Dirty-set inserts whose ack retry budget ran out (the entry stays in the
-  // change-log; the push path repairs tracker visibility).
-  uint64_t insert_exhausted = 0;
-  // In-switch metadata read cache (owner side): installs piggybacked on read
-  // replies, pre-commit evict round trips, and evict retry budgets that ran
-  // out (the write proceeded; see ServerConfig::cache_evict_max_attempts).
-  uint64_t cache_installs = 0;
-  uint64_t cache_evicts = 0;
-  uint64_t cache_evict_exhausted = 0;
-  // Adaptive push pacing: PushResps stamped with a retry_after hint (owner
-  // side) and drains deferred by a received hint (source side).
-  uint64_t push_pace_hints = 0;
-  uint64_t push_paced_drains = 0;
-  // Sharded owner: push-batch sections whose (dir, src) idempotency token
-  // was already committed (duplicate delivery no-oped and re-acked), and
-  // cross-shard handoff tasks enqueued (rename legs, hard-link splits).
-  uint64_t push_batches_deduped = 0;
-  uint64_t cross_shard_handoffs = 0;
-  // WAN replication (src/wan/). Shipped/catch-up counters are bumped by the
-  // cluster-level replicator (registered into Cluster::TotalStats as an
-  // extra stats block); applied/conflict counters are bumped by the owner
-  // server applying (or LWW-dropping) an entry. wan_conflicts_lww also
-  // counts LOCAL cross-era LWW drops (the phantom-dirent resolver) — the
-  // same comparison at the same apply point.
-  uint64_t wan_batches_shipped = 0;
-  uint64_t wan_entries_applied = 0;
-  uint64_t wan_conflicts_lww = 0;
-  uint64_t wan_catchup_replays = 0;
-  // WAN entries dropped because the directory is unknown at this cluster
-  // (outside the shared replicated namespace, or removed here).
-  uint64_t wan_entries_dropped = 0;
+#define SFS_STATS_DECLARE(name) uint64_t name = 0;
+  SFS_SERVER_STATS(SFS_STATS_DECLARE)
+#undef SFS_STATS_DECLARE
 };
 
-// Member-wise counter sum — the one place that enumerates every ServerStats
-// field (Cluster::TotalStats, the geo harness). Defined in cluster.cc.
-void AccumulateServerStats(ServerStats& total, const ServerStats& add);
+// Member-wise counter sum (Cluster::TotalStats, the geo harness).
+inline void AccumulateServerStats(ServerStats& total, const ServerStats& add) {
+#define SFS_STATS_ADD(name) total.name += add.name;
+  SFS_SERVER_STATS(SFS_STATS_ADD)
+#undef SFS_STATS_ADD
+}
 
 // Volatile state of one server incarnation (wiped on crash). Its containers
 // are mutated by concurrently-interleaved coroutine handlers, so references,
@@ -472,8 +489,9 @@ struct SFS_SUSPENSION_SHARED ServerVolatile {
   }
 
   // LookupDirIndex for a directory that is still here: false also when the
-  // index row survives but its inode row is gone (WAL replay can leave such a
-  // stale row behind; see SwitchServer::ReplayWalInto).
+  // index row survives but its inode row is gone. Every commit and its WAL
+  // redo (RedoOpCommit) drop a directory's index row with its inode row, so
+  // this is a guard, not a repair of a known stale row.
   bool LookupLiveDir(const InodeId& dir, std::string* inode_key,
                      psw::Fingerprint* fp) const {
     return LookupDirIndex(dir, inode_key, fp) && kv.Get(*inode_key).has_value();
@@ -514,38 +532,57 @@ struct SFS_SUSPENSION_SHARED ServerVolatile {
     return &it->second;
   }
 
+  // ---- WAL redo (defined in wal_redo.cc) ----
+  // One synchronous redo per WAL record kind. The runtime commit of a record
+  // and SwitchServer::ReplayWalInto both call it, so the rows a recovered
+  // server holds are the rows it held before the crash. None suspends; the
+  // callers keep their CPU charges and WAL appends.
+
   // The dirent-row redo: the one synchronous KV mutation behind every settled
   // dirent write — change-log applies (Aggregation::ApplyEntries), WAN
   // applies, and the WAL replay of both record kinds. Puts or deletes `e`'s
   // entry row in `dir`, max-merges the name's LWW stamp row with `stamp`, and
   // writes the directory attr at `ikey` (absolute `result_size`; mtime and
   // atime max-merged with `result_mtime`). Callers keep their own LWW
-  // comparison, CPU charges and WAL append; this never suspends. Writes
-  // nothing when the directory's attr row is gone.
+  // comparison. Writes nothing when the directory's attr row is gone.
   void RedoDirent(const InodeId& dir, const std::string& ikey,
                   const ChangeLogEntry& e, const LwwStamp& stamp,
-                  uint64_t result_size, int64_t result_mtime) {
-    auto value = kv.Get(ikey);
-    if (!value.has_value()) {
-      return;
-    }
-    const std::string ekey = EntryKey(dir, e.name);
-    if (e.op == OpType::kCreate || e.op == OpType::kMkdir) {
-      kv.Put(ekey, EncodeEntryValue(e.entry_type));
-    } else {
-      kv.Delete(ekey);
-    }
-    const std::string skey = LwwStampKey(dir, e.name);
-    auto srow = kv.Get(skey);
-    if (!srow.has_value() || LwwStamp::Decode(*srow) < stamp) {
-      kv.Put(skey, stamp.Encode());
-    }
-    Attr attr = Attr::Decode(*value);
-    attr.size = result_size;
-    attr.mtime = std::max(attr.mtime, result_mtime);
-    attr.atime = std::max(attr.atime, attr.mtime);
-    kv.Put(ikey, attr.Encode());
-  }
+                  uint64_t result_size, int64_t result_mtime);
+
+  // What deleting a directory's inode row took with it.
+  struct RemovedDir {
+    InodeId id;
+    std::vector<DirEntry> entries;
+  };
+  // kWalOpCommit: puts or deletes the record's inode row. Deleting a
+  // directory's row also deletes its entry rows and dir-index row, and
+  // returns them (the rename source leg ships the entries to the new owner).
+  // Putting a directory's row for a mkdir or a rename arrival writes its
+  // dir-index row and the migrated `install_entries`; an arrival also drops
+  // the directory's earlier-era hwm lanes. A rename source leg's moved
+  // tombstone is installed at `now`, taking over the departing era's lanes.
+  std::optional<RemovedDir> RedoOpCommit(const OpCommitRecord& rec,
+                                         int64_t now);
+  // kWalBulkCommit: puts every item's inode row.
+  void RedoBulkCommit(const BulkCommitRecord& rec);
+  // Re-queues a record's deferred parent update(s) in their change-log,
+  // stamped with the record's `lsn`. A bulk record's lsn rides only its last
+  // entry: entries ack in FIFO order, so the record is applied once the last
+  // one acks (the others carry 0, a no-op for Wal::MarkApplied).
+  void RestoreChangeLog(const OpCommitRecord& rec, uint64_t lsn);
+  void RestoreChangeLog(const BulkCommitRecord& rec, uint64_t lsn);
+  // kWalEntryApply replay: the section's push token, the hwm dedup, and the
+  // dirent redo (a directory removed later in the log is skipped). The
+  // runtime reaches the same three through PushEngine::ApplySection and
+  // Aggregation::ApplyEntries, per section rather than per record.
+  void RedoEntryApply(const EntryApplyRecord& rec, uint32_t cluster_id);
+  // kWalWanApply replay: the dirent redo, stamped with the origin.
+  void RedoWanApply(const WanApplyRecord& rec);
+  // Commits push-batch token `token` (0 = untokened, a no-op) for (dir, src)
+  // in fingerprint era `fp`, with the seq it acked: max-merged within an
+  // era, replaced by another era's commit.
+  void CommitPushToken(const InodeId& dir, uint32_t src, psw::Fingerprint fp,
+                       uint64_t token, uint64_t acked_seq);
 
   // Snapshot-and-erase of ALL of a directory's applied lanes (rename era
   // hygiene); returns only the rows of `fp`'s lane — the marks a moved
@@ -630,6 +667,22 @@ struct ServerContext {
     rpc->Respond(p, resp);
   }
 };
+
+// The runtime commit of one OpCommitRecord, the only code that writes one.
+// A record that logs a parent update first takes that log's append mutex
+// (innermost; it pins the seq across the suspensions below) and numbers
+// rec.entry. Then: charge wal_append, append, charge `kv_cost` (skipped when
+// 0: the next commit's charge covers this record's rows), redo the record
+// (ServerVolatile::RedoOpCommit), and, for a parent update, charge
+// changelog_append and restore the entry. Returns what the redo removed.
+// Callers check v->dead after it.
+sim::Task<std::optional<ServerVolatile::RemovedDir>> CommitOpRecord(
+    const ServerContext& ctx, VolPtr v, OpCommitRecord rec,
+    sim::SimTime kv_cost);
+// The same for a BulkCommitRecord: one WAL append for the batch (the first
+// item pays wal_append, the rest wal_append_batched), one kv_put per item.
+sim::Task<void> CommitBulkRecord(const ServerContext& ctx, VolPtr v,
+                                 BulkCommitRecord rec);
 
 // Narrow interface the rename and hard-link modules use to publish a deferred
 // parent update through the configured tracker: marks the directory scattered

@@ -1,16 +1,21 @@
-// WAL record payloads (paper §5.4.2, §A.1). Three record families cover
-// everything recovery needs:
+// WAL record payloads (paper §5.4.2, §A.1). Four record kinds cover
+// everything recovery needs. Each has one redo on ServerVolatile
+// (src/core/wal_redo.cc) that WAL replay calls; the runtime commit calls the
+// same redo (EntryApply: the same RedoDirent and CommitPushToken, per
+// section rather than per record):
 //   * OpCommit    — a committed local operation: the inode mutation plus (for
 //                   double-inode ops) the change-log entry for the remote
-//                   parent. Redo rebuilds the KV store; un-"applied" records
-//                   also rebuild the change-log backlog.
+//                   parent; also mkdir/rmdir of directory inodes and the
+//                   rename-transaction inode moves. Redo rebuilds the KV
+//                   store; un-"applied" records also rebuild the change-log
+//                   backlog.
+//   * BulkCommit  — one BulkInsert batch: many inode rows and their entries.
 //   * EntryApply  — the owner persisted a received change-log entry before
 //                   applying it to the directory inode (§5.2.2 step 7). The
 //                   record carries the *resulting* directory size/mtime so
 //                   redo is idempotent, and advances the per-(dir, source)
 //                   high-water mark that dedups re-sent entries (§A.1).
-//   * DirCommit   — mkdir/rmdir of a directory inode owned by this server,
-//                   and rename-transaction inode moves.
+//   * WanApply    — a geo-replicated dirent apply (src/wan/).
 #ifndef SRC_CORE_WAL_RECORDS_H_
 #define SRC_CORE_WAL_RECORDS_H_
 

@@ -5,7 +5,8 @@
 //       is visible to stat AND listed by readdir,
 //  (I3) no change-log entries linger after the drain,
 //  (I4) the switch dirty set ends empty (every scattered directory returned
-//       to normal state via reads or proactive aggregation, Fig 3).
+//       to normal state via reads or proactive aggregation, Fig 3),
+//  (I5) crashing and recovering any server rebuilds exactly its KV rows.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -132,6 +133,9 @@ TEST_P(ConsistencySweep, RandomOpSoupUpholdsInvariants) {
     population += fs.cluster.data_plane()->dirty_set(pipe).Population();
   }
   EXPECT_EQ(population, 0u);
+
+  // (I5): every server's WAL replay rebuilds exactly its runtime rows.
+  ExpectReplayReproducesKv(fs);
 }
 
 // Rename-storm sweep (§5.2 rename race, moved_fp rebind): concurrent
@@ -255,6 +259,9 @@ TEST_P(RenameStormSweep, NoCommittedDirentVanishes) {
           << current[i] << "/" << name;
     }
   }
+
+  // WAL replay rebuilds every server's rows, moved directories included.
+  ExpectReplayReproducesKv(fs);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RenameStormSweep,

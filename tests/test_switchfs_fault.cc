@@ -677,5 +677,149 @@ TEST(SwitchFsFault, ReconfigurationMigratesAndKeepsServing) {
   EXPECT_EQ(sd->size, 40u);
 }
 
+Status LinkAt(FsHarness& fs, const std::string& src, const std::string& dst) {
+  Status out = InternalError("not run");
+  fs.Run([](SwitchFsClient* c, std::string s, std::string d,
+            Status* o) -> sim::Task<void> {
+    *o = co_await c->Link(s, d);
+  }(fs.client.get(), src, dst, &out));
+  return out;
+}
+
+Status SetAttrAt(FsHarness& fs, const std::string& path,
+                 const AttrDelta& delta) {
+  Status out = InternalError("not run");
+  fs.Run([](SwitchFsClient* c, std::string p, AttrDelta d,
+            Status* o) -> sim::Task<void> {
+    *o = co_await c->SetAttr(p, d);
+  }(fs.client.get(), path, delta, &out));
+  return out;
+}
+
+std::vector<Status> BulkInsertAt(FsHarness& fs, const std::string& dir,
+                                 const std::vector<std::string>& names) {
+  std::vector<Status> out;
+  fs.Run([](SwitchFsClient* c, std::string d, std::vector<std::string> n,
+            std::vector<Status>* o) -> sim::Task<void> {
+    auto handle = co_await c->OpenDir(d);
+    if (!handle.ok()) {
+      o->assign(n.size(), handle.status());
+      co_return;
+    }
+    *o = co_await c->BulkInsert(*handle, n);
+    (void)co_await c->CloseDir(*handle);
+  }(fs.client.get(), dir, names, &out));
+  return out;
+}
+
+std::set<std::string> Names(const std::vector<DirEntry>& entries) {
+  std::set<std::string> names;
+  for (const DirEntry& e : entries) {
+    names.insert(e.name);
+  }
+  return names;
+}
+
+TEST(SwitchFsFault, ReplayReproducesRuntimeKv) {
+  // Every committed mutation kind, then a crash and recovery of each server
+  // in turn: replay must rebuild exactly the rows the runtime left.
+  FsHarness fs;
+  for (const char* d : {"/a", "/b", "/c"}) {
+    ASSERT_TRUE(fs.Mkdir(d).ok()) << d;
+  }
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(fs.Create("/a/f" + std::to_string(i)).ok()) << i;
+  }
+  ASSERT_TRUE(fs.Mkdir("/a/sub").ok());
+  ASSERT_TRUE(fs.Create("/a/sub/x").ok());
+  ASSERT_TRUE(fs.Create("/a/sub/y").ok());
+  ASSERT_TRUE(fs.Unlink("/a/f0").ok());
+  ASSERT_TRUE(fs.Mkdir("/c/gone").ok());
+  ASSERT_TRUE(fs.Rmdir("/c/gone").ok());
+  ASSERT_TRUE(fs.Rename("/a/f1", "/b/f1r").ok());     // file rename
+  ASSERT_TRUE(fs.Rename("/a/sub", "/b/sub2").ok());   // directory rename
+  ASSERT_TRUE(LinkAt(fs, "/a/f2", "/c/l1").ok());
+  ASSERT_TRUE(LinkAt(fs, "/a/f2", "/c/l2").ok());
+  ASSERT_TRUE(fs.Unlink("/c/l1").ok());               // unlink of a link
+  AttrDelta chmod;
+  chmod.set_mode = true;
+  chmod.mode = 0600;
+  ASSERT_TRUE(SetAttrAt(fs, "/a/f3", chmod).ok());
+  ASSERT_TRUE(SetAttrAt(fs, "/b", chmod).ok());       // directory setattr
+  const std::vector<std::string> bulk = {"k0", "k1", "k2", "k3"};
+  for (const Status& st : BulkInsertAt(fs, "/c", bulk)) {
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  }
+  // Settle every directory (reads force the pending aggregations).
+  for (const char* d : {"/", "/a", "/b", "/c", "/b/sub2"}) {
+    ASSERT_TRUE(fs.Readdir(d).ok()) << d;
+  }
+
+  ExpectReplayReproducesKv(fs);
+
+  auto c = fs.Readdir("/c");
+  ASSERT_TRUE(c.ok());
+  EXPECT_EQ(Names(*c),
+            (std::set<std::string>{"l2", "k0", "k1", "k2", "k3"}));
+  auto sub = fs.Readdir("/b/sub2");
+  ASSERT_TRUE(sub.ok());
+  EXPECT_EQ(Names(*sub), (std::set<std::string>{"x", "y"}));
+}
+
+TEST(SwitchFsFault, RenameAwayCrashRenameBack) {
+  // A directory renamed to another owner leaves no rows at its old owner,
+  // even after that owner replays its WAL: when the directory comes back,
+  // its listing is exactly what moved back with it.
+  FsHarness fs;
+  const HashRing& ring = fs.cluster.ring();
+  int n = 0;
+  while (ring.Owner(FingerprintOf(RootId(), "a" + std::to_string(n))) ==
+         ring.Owner(FingerprintOf(RootId(), "b" + std::to_string(n)))) {
+    ++n;
+  }
+  const std::string a = "/a" + std::to_string(n);
+  const std::string b = "/b" + std::to_string(n);
+  const uint32_t old_owner =
+      ring.Owner(FingerprintOf(RootId(), "a" + std::to_string(n)));
+  ASSERT_TRUE(fs.Mkdir(a).ok());
+  ASSERT_TRUE(fs.Create(a + "/f1").ok());
+  ASSERT_TRUE(fs.Create(a + "/f2").ok());
+  ASSERT_TRUE(fs.Rename(a, b).ok());
+  fs.cluster.CrashServer(old_owner);
+  fs.Run(fs.cluster.RecoverServer(old_owner));
+  ASSERT_TRUE(fs.Unlink(b + "/f1").ok());
+  ASSERT_TRUE(fs.Rename(b, a).ok());
+
+  auto listing = fs.Readdir(a);
+  ASSERT_TRUE(listing.ok());
+  EXPECT_EQ(Names(*listing), (std::set<std::string>{"f2"}));
+  auto sd = fs.StatDir(a);
+  ASSERT_TRUE(sd.ok());
+  EXPECT_EQ(sd->size, 1u);
+}
+
+TEST(SwitchFsFault, RootOwnerCrashKeepsRootListing) {
+  // The root is seeded, not logged: its owner must seed it before replaying
+  // the WAL, or every replayed entry of "/" has no directory to land in.
+  FsHarness fs;
+  std::set<std::string> made;
+  for (int d = 0; d < 6; ++d) {
+    const std::string name = "d" + std::to_string(d);
+    ASSERT_TRUE(fs.Mkdir("/" + name).ok()) << name;
+    made.insert(name);
+  }
+  const uint32_t owner =
+      fs.cluster.ring().Owner(FingerprintOf(InodeId{}, "/"));
+  fs.cluster.CrashServer(owner);
+  fs.Run(fs.cluster.RecoverServer(owner));
+
+  auto listing = fs.Readdir("/");
+  ASSERT_TRUE(listing.ok());
+  EXPECT_EQ(Names(*listing), made);
+  auto sd = fs.StatDir("/");
+  ASSERT_TRUE(sd.ok());
+  EXPECT_EQ(sd->size, 6u);
+}
+
 }  // namespace
 }  // namespace switchfs::core
