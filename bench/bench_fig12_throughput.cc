@@ -1,7 +1,7 @@
 // Fig 12: peak throughput of individual metadata operations vs number of
 // metadata servers, on all five systems, under two access patterns:
 //  (a) a single large directory (load-balance stress), and
-//  (b) 1024 directories (operation-overhead stress; scaled per bench size).
+//  (b) 1024 directories (operation-overhead stress).
 //
 // IndexFS-sim is omitted from the single-large-directory pattern (the paper
 // reports IndexFS "consistently crashes with errors" there) and from rmdir
@@ -124,6 +124,6 @@ int main() {
   switchfs::bench::RunPattern(
       "Fig 12(a): throughput, single large directory", 1);
   switchfs::bench::RunPattern(
-      "Fig 12(b): throughput, multiple directories (256 dirs)", 256);
+      "Fig 12(b): throughput, multiple directories (1024 dirs)", 1024);
   return 0;
 }

@@ -1596,13 +1596,14 @@ std::unique_ptr<core::MetadataService> BaselineCluster::NewClient(bool warm) {
   auto client = std::make_unique<BaselineClient>(&sim_, net_.get(), this,
                                                  &config_.costs);
   if (warm) {
-    for (const auto& [path, dir] : preloaded_) {
-      CachedDir entry;
-      entry.id = dir.id;
-      entry.mode = 0755;
-      entry.ancestors = dir.ancestors;
-      client->WarmCache(path, entry);
-    }
+    warm_snapshot_.Warm(client->cache(), preloaded_,
+                        [](const PreloadedDir& dir) {
+                          CachedDir entry;
+                          entry.id = dir.id;
+                          entry.mode = 0755;
+                          entry.ancestors = dir.ancestors;
+                          return entry;
+                        });
   }
   return client;
 }
@@ -1651,6 +1652,7 @@ void BaselineCluster::PreloadDir(const std::string& path) {
   servers_[placement_->DirServer(parent.id, parent.top)]->PreloadEntry(
       parent.id, name, FileType::kDirectory);
   preloaded_[path] = dir;
+  warm_snapshot_.Invalidate();
   BumpPreloadedDirSize(parent_path);
 }
 

@@ -243,9 +243,7 @@ class BaselineClient : public core::MetadataService {
   sim::Task<Status> Rename(const std::string& from,
                            const std::string& to) override;
 
-  void WarmCache(const std::string& path, const core::CachedDir& entry) {
-    cache_.Put(path, entry);
-  }
+  core::ClientCache& cache() { return cache_; }
 
  private:
   struct OpResult {
@@ -324,6 +322,7 @@ class BaselineCluster : public core::FsWorld {
   std::unique_ptr<BaselinePlacement> placement_;
   std::vector<std::unique_ptr<BaselineServer>> servers_;
   std::unordered_map<std::string, PreloadedDir> preloaded_;
+  core::WarmSnapshotSource warm_snapshot_;
 };
 
 }  // namespace switchfs::baselines

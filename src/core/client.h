@@ -124,11 +124,6 @@ class SwitchFsClient : public MetadataService {
   ClientCache& cache() { return cache_; }
   net::RpcEndpoint& rpc() { return rpc_; }
 
-  // Seeds a cache entry (bench warm-up fast path).
-  void WarmCache(const std::string& path, const CachedDir& entry) {
-    cache_.Put(path, entry);
-  }
-
  private:
   // Typed request description — the v2 replacement for the old
   // Issue(OpType, path, want_entries) funnel. Call sites build the request

@@ -267,6 +267,7 @@ const Cluster::PreloadedDir& Cluster::PreloadMkdir(const std::string& path) {
   servers_[ring_.Owner(parent.fp)]->PreloadEntry(parent.id, name,
                                                  FileType::kDirectory);
   const PreloadedDir& result = preloaded_[path] = dir;
+  warm_snapshot_.Invalidate();
   BumpPreloadedDirSize(parent_path);
   return result;
 }
@@ -297,8 +298,8 @@ const Cluster::PreloadedDir* Cluster::preloaded(const std::string& path) const {
   return it == preloaded_.end() ? nullptr : &it->second;
 }
 
-void Cluster::WarmClient(SwitchFsClient& client) const {
-  for (const auto& [path, dir] : preloaded_) {
+void Cluster::WarmClient(SwitchFsClient& client) {
+  warm_snapshot_.Warm(client.cache(), preloaded_, [](const PreloadedDir& dir) {
     CachedDir entry;
     entry.id = dir.id;
     entry.fp = dir.fp;
@@ -306,8 +307,8 @@ void Cluster::WarmClient(SwitchFsClient& client) const {
     for (const InodeId& a : dir.ancestors) {
       entry.ancestors.push_back(AncestorRef{a, 0});
     }
-    client.WarmCache(path, entry);
-  }
+    return entry;
+  });
 }
 
 void Cluster::SetWanSink(WanSink* sink) {

@@ -119,8 +119,10 @@ class Cluster : public ClusterContext, public FsWorld {
   const PreloadedDir& PreloadMkdir(const std::string& path);
   void PreloadFile(const std::string& path);
   const PreloadedDir* preloaded(const std::string& path) const;
-  // Seeds a client's path cache with every preloaded directory.
-  void WarmClient(SwitchFsClient& client) const;
+  // Seeds a client's path cache with every preloaded directory: attaches
+  // the cluster's warm snapshot, built on the first warm-up after the last
+  // PreloadMkdir and shared by every client warmed from then on.
+  void WarmClient(SwitchFsClient& client);
 
   // --- WAN replication wiring (src/wan/) ---
   // Points every server's capture hook at the cluster's replicator (null
@@ -156,6 +158,7 @@ class Cluster : public ClusterContext, public FsWorld {
   std::vector<std::unique_ptr<SwitchServer>> servers_;
   HashRing ring_;
   std::unordered_map<std::string, PreloadedDir> preloaded_;
+  WarmSnapshotSource warm_snapshot_;
   WanSink* wan_sink_ = nullptr;
   std::vector<const ServerStats*> extra_stats_;
 };

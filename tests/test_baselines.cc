@@ -214,6 +214,32 @@ TEST_P(BaselineSuite, PreloadIsProtocolConsistent) {
   EXPECT_EQ(sd->size, 19u);
 }
 
+TEST_P(BaselineSuite, WarmClientsShareOneSnapshotUntilTheNextPreload) {
+  BaselineHarness fs(GetParam());
+  fs.cluster->PreloadDir("/a");
+  fs.cluster->PreloadDir("/a/b");
+  auto warm = [&] {
+    auto c = fs.cluster->NewClient(true);
+    return std::unique_ptr<BaselineClient>(
+        static_cast<BaselineClient*>(c.release()));
+  };
+  auto first = warm();
+  auto second = warm();
+  const auto& shared = first->cache().snapshot();
+  ASSERT_NE(shared, nullptr);
+  EXPECT_EQ(second->cache().snapshot().get(), shared.get());
+  EXPECT_EQ(first->cache().overlay_size(), 0u);
+  EXPECT_EQ(first->cache().size(), 3u);  // "/", /a and /a/b
+  ASSERT_NE(first->cache().Get("/a/b"), nullptr);
+  EXPECT_EQ(first->cache().Get("/a/b")->id, fs.cluster->preloaded("/a/b")->id);
+
+  fs.cluster->PreloadDir("/c");
+  auto late = warm();
+  EXPECT_NE(late->cache().snapshot().get(), shared.get());
+  EXPECT_NE(late->cache().Get("/c"), nullptr);
+  EXPECT_EQ(first->cache().Get("/c"), nullptr);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSystems, BaselineSuite,
                          ::testing::Values(SystemKind::kEInfiniFS,
                                            SystemKind::kECfs,

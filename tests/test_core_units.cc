@@ -1,21 +1,26 @@
 // Unit tests for core building blocks that the protocol suites exercise only
-// indirectly: the reference-counted lock table, the client cache, the
-// timestamped invalidation list, change-log compaction state, schema keys,
-// and consistent-hash placement.
+// indirectly: the reference-counted lock table, the client cache (and the
+// warm snapshot its clients share), the timestamped invalidation list,
+// change-log compaction state, schema keys, and consistent-hash placement.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/random.h"
 #include "src/core/change_log.h"
 #include "src/core/client_cache.h"
+#include "src/core/cluster.h"
 #include "src/core/invalidation.h"
 #include "src/core/lock_table.h"
 #include "src/core/placement.h"
 #include "src/core/schema.h"
 #include "src/sim/simulator.h"
+#include "tests/switchfs_test_util.h"
 
 namespace switchfs::core {
 namespace {
@@ -133,6 +138,193 @@ TEST(ClientCache, InvalidateIdDropsDependentEntries) {
   EXPECT_EQ(cache.Get("/a"), nullptr);
   EXPECT_EQ(cache.Get("/a/b"), nullptr);
   EXPECT_NE(cache.Get("/c"), nullptr);
+}
+
+// The cache as one private map: the behaviour a snapshot-backed ClientCache
+// must reproduce.
+class ReferenceCache {
+ public:
+  const CachedDir* Get(const std::string& path) const {
+    auto it = map_.find(path);
+    return it == map_.end() ? nullptr : &it->second;
+  }
+  void Put(const std::string& path, CachedDir entry) {
+    map_[path] = std::move(entry);
+  }
+  void ErasePath(const std::string& path) { map_.erase(path); }
+  size_t InvalidateId(const InodeId& id) {
+    size_t dropped = 0;
+    for (auto it = map_.begin(); it != map_.end();) {
+      bool hit = false;
+      for (const AncestorRef& a : it->second.ancestors) {
+        hit = hit || a.id == id;
+      }
+      if (hit) {
+        it = map_.erase(it);
+        ++dropped;
+      } else {
+        ++it;
+      }
+    }
+    return dropped;
+  }
+  void Clear() { map_.clear(); }
+  size_t size() const { return map_.size(); }
+
+ private:
+  std::unordered_map<std::string, CachedDir> map_;
+};
+
+bool SameEntry(const CachedDir* a, const CachedDir* b) {
+  if (a == nullptr || b == nullptr) {
+    return a == b;
+  }
+  if (!(a->id == b->id) || a->fp != b->fp || a->mode != b->mode ||
+      a->ancestors.size() != b->ancestors.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a->ancestors.size(); ++i) {
+    if (!(a->ancestors[i].id == b->ancestors[i].id) ||
+        a->ancestors[i].cached_at != b->ancestors[i].cached_at) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// A random tree of `n` directories under the root: every entry's chain is
+// its parent's chain plus itself, so ancestors are shared along branches.
+std::vector<std::pair<std::string, CachedDir>> RandomTree(Rng& rng, int n,
+                                                          uint64_t tag) {
+  std::vector<std::pair<std::string, CachedDir>> dirs;
+  CachedDir root;
+  root.id = RootId();
+  root.ancestors = {{RootId(), 0}};
+  dirs.emplace_back("/", root);
+  for (int i = 1; i < n; ++i) {
+    const auto& [ppath, parent] = dirs[rng.NextBelow(dirs.size())];
+    CachedDir d;
+    d.id.w[0] = tag * 1000 + static_cast<uint64_t>(i);
+    d.fp = rng.Next();
+    d.mode = rng.NextBool(0.5) ? 0755 : 0700;
+    d.ancestors = parent.ancestors;
+    d.ancestors.push_back({d.id, rng.NextInRange(0, 50)});
+    dirs.emplace_back((ppath == "/" ? "" : ppath) + "/d" + std::to_string(i),
+                      std::move(d));
+  }
+  return dirs;
+}
+
+TEST(ClientCache, SnapshotBackedCacheMatchesPrivateMap) {
+  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    // Two warm-up generations; the second shares a prefix of paths with the
+    // first and moves some of them under new ids.
+    auto gen1 = RandomTree(rng, 60, 1);
+    auto gen2 = RandomTree(rng, 80, 2);
+    std::vector<std::string> paths;
+    std::vector<InodeId> ids;
+    for (const auto* gen : {&gen1, &gen2}) {
+      for (const auto& [path, dir] : *gen) {
+        paths.push_back(path);
+        ids.push_back(dir.id);
+      }
+    }
+    paths.push_back("/never");
+    ids.push_back(InodeId{});
+
+    ClientCache cache;
+    ReferenceCache ref;
+    CachedDir root = gen1[0].second;
+    cache.Put("/", root);
+    ref.Put("/", root);
+    auto attach = [&](const std::vector<std::pair<std::string, CachedDir>>& g) {
+      cache.AttachSnapshot(std::make_shared<const WarmSnapshot>(g));
+      for (const auto& [path, dir] : g) {
+        ref.Put(path, dir);
+      }
+    };
+    attach(gen1);
+    for (int step = 0; step < 4000; ++step) {
+      const uint64_t op = rng.NextBelow(100);
+      const std::string& path = paths[rng.NextBelow(paths.size())];
+      if (op < 40) {
+        ASSERT_TRUE(SameEntry(cache.Get(path), ref.Get(path))) << path;
+      } else if (op < 60) {
+        // A learned entry: chain of some known entry, plus a fresh id.
+        const auto& gen = rng.NextBool(0.5) ? gen1 : gen2;
+        CachedDir d = gen[rng.NextBelow(gen.size())].second;
+        d.id.w[0] = 9000000 + static_cast<uint64_t>(step);
+        d.ancestors.push_back({d.id, step});
+        cache.Put(path, d);
+        ref.Put(path, d);
+      } else if (op < 75) {
+        cache.ErasePath(path);
+        ref.ErasePath(path);
+      } else if (op < 95) {
+        const InodeId& id = ids[rng.NextBelow(ids.size())];
+        ASSERT_EQ(cache.InvalidateId(id), ref.InvalidateId(id));
+      } else if (op < 98) {
+        cache.Clear();
+        ref.Clear();
+      } else {
+        attach(rng.NextBool(0.5) ? gen1 : gen2);
+      }
+      ASSERT_EQ(cache.size(), ref.size()) << "step " << step;
+    }
+    for (const std::string& path : paths) {
+      EXPECT_TRUE(SameEntry(cache.Get(path), ref.Get(path))) << path;
+    }
+  }
+}
+
+TEST(ClientCache, WarmClientsShareOneSnapshot) {
+  FsHarness fs;
+  for (int d = 0; d < 8; ++d) {
+    fs.cluster.PreloadMkdir("/d" + std::to_string(d));
+  }
+  fs.cluster.PreloadMkdir("/d0/sub");
+  std::vector<std::unique_ptr<SwitchFsClient>> clients;
+  for (int i = 0; i < 64; ++i) {
+    clients.push_back(fs.cluster.MakeClient());
+    fs.cluster.WarmClient(*clients.back());
+  }
+  const auto& shared = clients[0]->cache().snapshot();
+  ASSERT_NE(shared, nullptr);
+  EXPECT_GE(shared.use_count(), 64);
+  for (const auto& c : clients) {
+    EXPECT_EQ(c->cache().snapshot().get(), shared.get());
+    EXPECT_EQ(c->cache().overlay_size(), 0u);
+    EXPECT_EQ(c->cache().size(), 10u);  // "/", 8 dirs and /d0/sub
+  }
+
+  // An invalidation in one client leaves the others' view unchanged.
+  const InodeId d0 = fs.cluster.preloaded("/d0")->id;
+  EXPECT_EQ(clients[0]->cache().InvalidateId(d0), 2u);  // /d0 and /d0/sub
+  EXPECT_EQ(clients[0]->cache().Get("/d0/sub"), nullptr);
+  ASSERT_NE(clients[1]->cache().Get("/d0/sub"), nullptr);
+  EXPECT_EQ(clients[1]->cache().size(), 10u);
+
+  // So does a rename through one client: the others keep their (now stale)
+  // entry until the servers tell them otherwise.
+  fs.cluster.WarmClient(*fs.client);
+  ASSERT_TRUE(fs.Rename("/d1", "/e1").ok());
+  EXPECT_EQ(fs.client->cache().Get("/d1"), nullptr);
+  const CachedDir* stale = clients[1]->cache().Get("/d1");
+  ASSERT_NE(stale, nullptr);
+  EXPECT_EQ(stale->id, fs.cluster.preloaded("/d1")->id);
+
+  // A client keeps the snapshot it was warmed with; later preloads reach
+  // only clients warmed after them.
+  fs.cluster.PreloadMkdir("/late");
+  auto late = fs.cluster.MakeClient();
+  fs.cluster.WarmClient(*late);
+  EXPECT_EQ(clients[1]->cache().Get("/late"), nullptr);
+  EXPECT_EQ(clients[1]->cache().snapshot().get(), shared.get());
+  ASSERT_NE(late->cache().Get("/late"), nullptr);
+  EXPECT_NE(late->cache().snapshot().get(), shared.get());
+  EXPECT_EQ(late->cache().overlay_size(), 0u);
 }
 
 TEST(Invalidation, TimestampOrderingGovernsStaleness) {
