@@ -6,6 +6,18 @@
 // IndexFS-sim is omitted from the single-large-directory pattern (the paper
 // reports IndexFS "consistently crashes with errors" there) and from rmdir
 // (its rmdir implementation is incomplete, §7.2.1).
+//
+// In pattern (b) the SwitchFS rmdir row does not grow with the server count,
+// unlike every other SwitchFS row. That follows from the protocol: every
+// SwitchFS rmdir runs a full aggregation round with invalidation
+// (HandleRmdir, Fig 6 steps 4-7), 1.05-1.17 rounds per rmdir, and each round
+// collects at every server, so adding servers adds work to each rmdir. At
+// SFS_BENCH_SCALE=0.1 (2,000 ops) the row reads 469 / 476 / 860 / 837 Kops/s
+// at 4 / 8 / 12 / 16 servers, and 10-19 aggregation retries dominate the
+// short measured window. At full scale (20,000 ops) it reads
+// 663 / 780 / 881 / 866 Kops/s, with 23-69 aggregation retries and 138-446
+// push failures in a fault-free run: pushes that outlive the fixed RPC
+// timeout budget at a busy owner.
 #include <memory>
 #include <string>
 #include <vector>

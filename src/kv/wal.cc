@@ -6,6 +6,9 @@ namespace switchfs::kv {
 
 uint64_t Wal::Append(uint32_t type, std::string payload) {
   const uint64_t lsn = next_lsn_++;
+  // Encoders grow the payload by doubling; keep the retained copy at its
+  // exact size (the WAL holds every record until truncation).
+  payload.shrink_to_fit();
   records_.push_back(WalRecord{lsn, type, std::move(payload), false});
   return lsn;
 }

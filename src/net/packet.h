@@ -97,11 +97,14 @@ const T* MsgAs(const MsgPtr& m) {
 
 // RPC envelope. call_id is unique per (caller, call); retransmits reuse it so
 // receivers can suppress duplicates (§5.4.1: "(sender server, sequence
-// number) tuple attached to each packet").
+// number) tuple attached to each packet"). A request also carries the
+// caller's lowest still-outstanding call id: every call below it has
+// finished at the caller, so the callee may free its cached replies.
 struct RpcHeader {
   uint64_t call_id = 0;
   NodeId caller = kInvalidNode;
   bool is_response = false;
+  uint64_t done_below = 0;  // requests only; 0 acknowledges nothing
 };
 
 struct Packet {

@@ -1,5 +1,6 @@
 #include "src/net/rpc.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -9,14 +10,20 @@ RpcEndpoint::RpcEndpoint(sim::Simulator* sim, Network* net)
     : sim_(sim), net_(net), id_(net->Register(this)) {}
 
 void RpcEndpoint::ResetVolatileState() {
-  pending_.clear();
-  dedup_.clear();
-  dedup_fifo_.clear();
+  calls_.clear();
+  calls_base_ = next_call_id_;
+  reply_windows_.clear();
+}
+
+size_t RpcEndpoint::cached_replies(NodeId caller) const {
+  auto it = reply_windows_.find(caller);
+  return it == reply_windows_.end() ? 0 : it->second.live();
 }
 
 sim::Task<StatusOr<MsgPtr>> RpcEndpoint::Call(NodeId dst, MsgPtr request,
                                               CallOptions opts) {
   const uint64_t call_id = next_call_id_++;
+  calls_.emplace_back();
   Packet p;
   p.src = id_;
   p.dst = dst;
@@ -27,24 +34,39 @@ sim::Task<StatusOr<MsgPtr>> RpcEndpoint::Call(NodeId dst, MsgPtr request,
 
   for (int attempt = 0; attempt < opts.max_attempts; ++attempt) {
     if (!enabled_) {
-      pending_.erase(call_id);
+      FinishCall(call_id);
       co_return UnavailableError("caller endpoint down");
+    }
+    if (call_id < calls_base_) {
+      co_return UnavailableError("caller endpoint reset");
     }
     if (attempt > 0) {
       retransmits_++;
     }
     auto slot = std::make_shared<sim::OneShot<MsgPtr>>(sim_);
-    pending_[call_id] = PendingCall{slot};
+    calls_[call_id - calls_base_] = slot;
+    p.rpc.done_below = calls_base_;
     Send(p);
     sim_->ScheduleAfter(opts.timeout, [slot] { slot->Set(nullptr); });
     MsgPtr resp = co_await slot->Wait();
     if (resp != nullptr) {
-      pending_.erase(call_id);
+      FinishCall(call_id);
       co_return resp;
     }
   }
-  pending_.erase(call_id);
+  FinishCall(call_id);
   co_return TimeoutError("rpc retries exhausted");
+}
+
+void RpcEndpoint::FinishCall(uint64_t call_id) {
+  if (call_id < calls_base_) {
+    return;  // abandoned by ResetVolatileState
+  }
+  calls_[call_id - calls_base_] = nullptr;
+  while (!calls_.empty() && calls_.front() == nullptr) {
+    calls_.pop_front();
+    calls_base_++;
+  }
 }
 
 Packet RpcEndpoint::MakeResponsePacket(const Packet& request, MsgPtr resp,
@@ -59,24 +81,47 @@ Packet RpcEndpoint::MakeResponsePacket(const Packet& request, MsgPtr resp,
   return p;
 }
 
-void RpcEndpoint::CacheResponse(const DedupKey& key, MsgPtr resp) {
-  auto it = dedup_.find(key);
-  if (it == dedup_.end()) {
-    return;  // evicted during a long-running handler; nothing to update
+std::vector<RpcEndpoint::CachedReply>::iterator
+RpcEndpoint::ReplyWindow::LowerBound(uint64_t call_id) {
+  return std::lower_bound(
+      replies.begin() + head, replies.end(), call_id,
+      [](const CachedReply& r, uint64_t id) { return r.call_id < id; });
+}
+
+void RpcEndpoint::ReplyWindow::FreeFront(size_t n) {
+  for (size_t end = head + n; head < end; ++head) {
+    replies[head].response.reset();
   }
-  it->second.completed = true;
-  it->second.cached_response = std::move(resp);
+  if (head == replies.size()) {
+    replies.clear();
+    head = 0;
+  } else if (head * 2 >= replies.size()) {
+    replies.erase(replies.begin(), replies.begin() + head);
+    head = 0;
+  }
+}
+
+void RpcEndpoint::CacheResponse(const Packet& request, MsgPtr resp) {
+  auto w = reply_windows_.find(request.rpc.caller);
+  if (w == reply_windows_.end()) {
+    return;
+  }
+  auto r = w->second.LowerBound(request.rpc.call_id);
+  if (r != w->second.replies.end() && r->call_id == request.rpc.call_id) {
+    r->response = std::move(resp);
+  }
+  // Otherwise the caller finished the call (or the backstop evicted it)
+  // while the handler ran; nothing to update.
 }
 
 void RpcEndpoint::Respond(const Packet& request, MsgPtr resp,
                           uint32_t size_bytes) {
-  CacheResponse(DedupKey{request.rpc.caller, request.rpc.call_id}, resp);
+  CacheResponse(request, resp);
   Send(MakeResponsePacket(request, std::move(resp), size_bytes));
 }
 
 void RpcEndpoint::RecordResponse(const Packet& request, MsgPtr resp) {
-  CacheResponse(DedupKey{request.rpc.caller, request.rpc.call_id},
-                std::move(resp));
+  CacheResponse(request, std::move(resp));
 }
 
 void RpcEndpoint::Send(Packet p) {
@@ -127,11 +172,12 @@ sim::Task<void> RpcEndpoint::ChargedDeliver(Packet p) {
 
 void RpcEndpoint::DispatchRequest(Packet p) {
   if (p.rpc.is_response) {
-    // Response to one of our calls?
-    if (p.rpc.caller == id_) {
-      auto it = pending_.find(p.rpc.call_id);
-      if (it != pending_.end()) {
-        it->second.slot->Set(std::move(p.body));
+    // Response to one of our outstanding calls?
+    if (p.rpc.caller == id_ && p.rpc.call_id >= calls_base_ &&
+        p.rpc.call_id < next_call_id_) {
+      const Slot& slot = calls_[p.rpc.call_id - calls_base_];
+      if (slot != nullptr) {
+        slot->Set(std::move(p.body));
         return;
       }
     }
@@ -149,23 +195,30 @@ void RpcEndpoint::DispatchRequest(Packet p) {
     }
     return;
   }
-  // Inbound request: duplicate suppression by (caller, call_id), §5.4.1.
-  const DedupKey key{p.rpc.caller, p.rpc.call_id};
-  auto it = dedup_.find(key);
-  if (it != dedup_.end()) {
+  // Inbound request: duplicate suppression by (caller, call_id), §5.4.1,
+  // within the caller's reply window.
+  ReplyWindow& w = reply_windows_[p.rpc.caller];
+  if (p.rpc.done_below > w.done_below) {
+    w.done_below = p.rpc.done_below;
+    w.FreeFront(w.LowerBound(w.done_below) - (w.replies.begin() + w.head));
+  }
+  if (p.rpc.call_id < w.done_below) {
+    stale_requests_++;  // a late copy of a call the caller has finished
+    return;
+  }
+  auto r = w.LowerBound(p.rpc.call_id);
+  if (r != w.replies.end() && r->call_id == p.rpc.call_id) {
     dup_requests_++;
-    if (it->second.completed && it->second.cached_response != nullptr) {
-      Send(MakeResponsePacket(p, it->second.cached_response));
+    if (r->response != nullptr) {
+      Send(MakeResponsePacket(p, r->response));
     }
     // In-flight duplicates are dropped; the response will reach the caller
     // when the original execution completes.
     return;
   }
-  dedup_.emplace(key, DedupEntry{});
-  dedup_fifo_.push_back(key);
-  while (dedup_fifo_.size() > kMaxDedupEntries) {
-    dedup_.erase(dedup_fifo_.front());
-    dedup_fifo_.pop_front();
+  w.replies.insert(r, CachedReply{p.rpc.call_id, nullptr});
+  if (w.live() > kMaxRepliesPerCaller) {
+    w.FreeFront(1);
   }
   if (request_handler_) {
     request_handler_(std::move(p));

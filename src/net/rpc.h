@@ -5,14 +5,36 @@
 // (caller, call_id) tuple and replay cached responses; responses may be
 // delivered out-of-band (SwitchFS's insert-ack multicast carries the create
 // response through the switch rather than from the executing server).
+//
+// Reply windows. Call ids are issued in increasing order, and every request
+// carries the caller's lowest still-outstanding call id
+// (`RpcHeader::done_below`). The callee keeps one window per caller: it
+// raises the caller's watermark from each request and frees every cached
+// reply below it, so the cache holds what the caller may still retransmit,
+// not every reply ever sent. A request below the watermark is a stale
+// duplicate of a finished call and is dropped (the caller would discard its
+// reply: it has no pending call). At or above the watermark, an in-flight
+// duplicate is dropped and a completed one is replayed from the cache. A
+// request with done_below = 0 (a hand-built packet) frees nothing;
+// kMaxRepliesPerCaller caps each window as a backstop, evicting the lowest
+// call id.
+//
+// Crashes. A caller's ResetVolatileState abandons its outstanding calls:
+// their coroutines fail with kUnavailable when they next wake, and the
+// caller's next request acknowledges every earlier id, freeing its window at
+// each callee it reaches. A callee's ResetVolatileState drops every window;
+// a retransmit that arrives afterwards is executed again, as after any
+// crash that wipes DRAM.
 #ifndef SRC_NET_RPC_H_
 #define SRC_NET_RPC_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "src/common/status.h"
 #include "src/net/network.h"
@@ -56,7 +78,8 @@ class RpcEndpoint : public Node {
   // Disabled endpoints drop all traffic (crashed / recovering node).
   void SetEnabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
-  // Drops duplicate-suppression and pending-call state (crash wipes DRAM).
+  // Drops the reply windows and abandons every outstanding call (crash wipes
+  // DRAM).
   void ResetVolatileState();
 
   // --- client side ---
@@ -81,33 +104,40 @@ class RpcEndpoint : public Node {
 
   void HandlePacket(Packet p) override;
 
+  // Duplicates of a request at or above its caller's watermark (dropped
+  // while in flight, replayed once completed).
   uint64_t duplicate_requests_seen() const { return dup_requests_; }
+  // Requests below their caller's watermark, dropped unexecuted.
+  uint64_t stale_requests_dropped() const { return stale_requests_; }
   uint64_t retransmits_sent() const { return retransmits_; }
+  // Live reply-window entries held for `caller` (in flight or completed).
+  size_t cached_replies(NodeId caller) const;
 
  private:
-  struct PendingCall {
-    std::shared_ptr<sim::OneShot<MsgPtr>> slot;
-  };
-  struct DedupKey {
-    NodeId caller;
+  using Slot = std::shared_ptr<sim::OneShot<MsgPtr>>;
+  // One callee-side cache entry; `response` is null while the handler runs.
+  struct CachedReply {
     uint64_t call_id;
-    bool operator==(const DedupKey& o) const {
-      return caller == o.caller && call_id == o.call_id;
-    }
+    MsgPtr response;
   };
-  struct DedupKeyHash {
-    size_t operator()(const DedupKey& k) const {
-      return std::hash<uint64_t>()((static_cast<uint64_t>(k.caller) << 40) ^
-                                   k.call_id);
-    }
-  };
-  struct DedupEntry {
-    bool completed = false;
-    MsgPtr cached_response;  // valid when completed
+  // Callee-side window for one caller: replies[head..] are live, sorted by
+  // call id; entries before `head` are freed and compacted away lazily.
+  struct ReplyWindow {
+    uint64_t done_below = 0;
+    size_t head = 0;
+    std::vector<CachedReply> replies;
+
+    size_t live() const { return replies.size() - head; }
+    // First live entry whose call id is not below `call_id`.
+    std::vector<CachedReply>::iterator LowerBound(uint64_t call_id);
+    void FreeFront(size_t n);
   };
 
   void DispatchRequest(Packet p);
-  void CacheResponse(const DedupKey& key, MsgPtr resp);
+  void CacheResponse(const Packet& request, MsgPtr resp);
+  // Marks `call_id` finished and advances the call window past every
+  // finished call at its front.
+  void FinishCall(uint64_t call_id);
   sim::Task<void> ChargedDeliver(Packet p);
 
   sim::Simulator* sim_;
@@ -119,14 +149,19 @@ class RpcEndpoint : public Node {
   RequestHandler request_handler_;
   RawHandler raw_handler_;
 
+  // Caller-side call window: calls_[i] is the current attempt's slot of call
+  // `calls_base_ + i`, null once that call finished. Finished calls are
+  // popped from the front, so calls_base_ is the lowest outstanding call id
+  // (next_call_id_ when none is) and is what requests carry as done_below.
   uint64_t next_call_id_ = 1;
-  std::unordered_map<uint64_t, PendingCall> pending_;
+  uint64_t calls_base_ = 1;
+  std::deque<Slot> calls_;
 
-  static constexpr size_t kMaxDedupEntries = 1 << 16;
-  std::unordered_map<DedupKey, DedupEntry, DedupKeyHash> dedup_;
-  std::deque<DedupKey> dedup_fifo_;
+  static constexpr size_t kMaxRepliesPerCaller = 1 << 16;
+  std::unordered_map<NodeId, ReplyWindow> reply_windows_;
 
   uint64_t dup_requests_ = 0;
+  uint64_t stale_requests_ = 0;
   uint64_t retransmits_ = 0;
 };
 

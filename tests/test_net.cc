@@ -1,8 +1,10 @@
 // Tests for the simulated network fabric and the RPC layer: delivery
 // latency, multicast expansion, fault injection, retransmission, duplicate
-// suppression, and out-of-band response caching.
+// suppression within per-caller reply windows, and out-of-band response
+// caching.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/net/network.h"
@@ -230,6 +232,33 @@ TEST(Rpc, DuplicateRequestsAreSuppressed) {
   EXPECT_GT(h.server_.duplicate_requests_seen(), 0u);
 }
 
+TEST(Rpc, DuplicatesUnderReorderingRunEachCallOnce) {
+  // Jitter lets a duplicate of a finished call arrive after the caller's
+  // next request raised the watermark past it: that copy is stale and must
+  // be dropped, not executed again.
+  RpcHarness h;
+  h.net_.SetFaults({.duplicate_probability = 0.5,
+                    .reorder_jitter = sim::Microseconds(20)});
+  int ok_count = 0;
+  constexpr int kChains = 8;
+  constexpr int kCallsPerChain = 25;
+  for (int c = 0; c < kChains; ++c) {
+    sim::Spawn([](RpcHarness* h, int* ok) -> sim::Task<void> {
+      for (int i = 0; i < kCallsPerChain; ++i) {
+        auto r = co_await h->client_.Call(h->server_.id(), MakeMsg<PingMsg>(i));
+        if (r.ok()) {
+          (*ok)++;
+        }
+      }
+    }(&h, &ok_count));
+  }
+  h.sim_.Run();
+  EXPECT_EQ(ok_count, kChains * kCallsPerChain);
+  EXPECT_EQ(h.requests_seen_, kChains * kCallsPerChain);
+  EXPECT_GT(h.server_.duplicate_requests_seen(), 0u);
+  EXPECT_GT(h.server_.stale_requests_dropped(), 0u);
+}
+
 TEST(Rpc, CallTimesOutAgainstDeadServer) {
   RpcHarness h;
   h.server_.SetEnabled(false);
@@ -269,6 +298,159 @@ TEST(Rpc, OutOfBandResponseSatisfiesRetransmittedRequest) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(MsgAs<PongMsg>(*result)->value, 7);
   EXPECT_EQ(handler_runs, 1);
+}
+
+// --- Reply windows ---
+
+// Drives a server endpoint with hand-built requests, so each test picks the
+// call ids and watermarks. The handler holds every request until Answer().
+class WindowHarness : public Harness {
+ public:
+  WindowHarness() : server_(&sim_, &net_) {
+    caller_id_ = net_.Register(&caller_);
+    server_.SetRequestHandler([this](Packet p) {
+      handler_runs_++;
+      held_.push_back(std::move(p));
+    });
+  }
+
+  void Request(uint64_t call_id, uint64_t done_below) {
+    Packet p;
+    p.src = caller_id_;
+    p.dst = server_.id();
+    p.rpc = RpcHeader{call_id, caller_id_, /*is_response=*/false, done_below};
+    p.body = MakeMsg<PingMsg>(static_cast<int>(call_id));
+    net_.Send(std::move(p));
+    sim_.Run();
+  }
+
+  // Responds to every held request with the request's value times ten.
+  void Answer() {
+    for (const Packet& p : held_) {
+      server_.Respond(p, MakeMsg<PongMsg>(MsgAs<PingMsg>(p.body)->value * 10));
+    }
+    held_.clear();
+    sim_.Run();
+  }
+
+  size_t cached() const { return server_.cached_replies(caller_id_); }
+
+  Sink caller_;
+  NodeId caller_id_ = kInvalidNode;
+  RpcEndpoint server_;
+  std::vector<Packet> held_;
+  int handler_runs_ = 0;
+};
+
+TEST(RpcReplyWindow, InFlightDuplicateIsDropped) {
+  WindowHarness h;
+  h.Request(1, 1);
+  h.Request(1, 1);
+  EXPECT_EQ(h.handler_runs_, 1);
+  EXPECT_EQ(h.server_.duplicate_requests_seen(), 1u);
+  EXPECT_TRUE(h.caller_.received.empty());
+  h.Answer();
+  ASSERT_EQ(h.caller_.received.size(), 1u);
+  EXPECT_EQ(MsgAs<PongMsg>(h.caller_.received[0].body)->value, 10);
+}
+
+TEST(RpcReplyWindow, CompletedDuplicateIsReplayedFromTheCache) {
+  WindowHarness h;
+  h.Request(1, 1);
+  h.Answer();
+  h.Request(1, 1);
+  EXPECT_EQ(h.handler_runs_, 1);
+  EXPECT_EQ(h.server_.duplicate_requests_seen(), 1u);
+  ASSERT_EQ(h.caller_.received.size(), 2u);
+  const Packet& replay = h.caller_.received[1];
+  EXPECT_TRUE(replay.rpc.is_response);
+  EXPECT_EQ(replay.rpc.call_id, 1u);
+  EXPECT_EQ(MsgAs<PongMsg>(replay.body)->value, 10);
+}
+
+TEST(RpcReplyWindow, LateDuplicateBelowTheWatermarkIsDropped) {
+  WindowHarness h;
+  h.Request(1, 1);
+  h.Answer();
+  h.Request(2, 2);  // the caller finished call 1: its reply is freed
+  h.Answer();
+  EXPECT_EQ(h.cached(), 1u);
+  h.Request(1, 1);  // a late network copy of call 1
+  EXPECT_EQ(h.handler_runs_, 2);
+  EXPECT_EQ(h.server_.stale_requests_dropped(), 1u);
+  EXPECT_EQ(h.server_.duplicate_requests_seen(), 0u);
+  EXPECT_EQ(h.caller_.received.size(), 2u);  // no replay was sent
+}
+
+TEST(RpcReplyWindow, ZeroWatermarkFreesNothing) {
+  WindowHarness h;
+  h.Request(1, 0);
+  h.Answer();
+  h.Request(2, 0);
+  h.Answer();
+  EXPECT_EQ(h.cached(), 2u);
+  h.Request(1, 0);
+  EXPECT_EQ(h.handler_runs_, 2);
+  EXPECT_EQ(h.server_.duplicate_requests_seen(), 1u);
+  EXPECT_EQ(h.caller_.received.size(), 3u);  // call 1 replayed
+}
+
+TEST(RpcReplyWindow, CallerResetFreesItsEntriesAtTheCallee) {
+  Harness h;
+  RpcEndpoint client(&h.sim_, &h.net_);
+  RpcEndpoint server(&h.sim_, &h.net_);
+  int handler_runs = 0;
+  server.SetRequestHandler([&](Packet) { handler_runs++; });  // never answers
+  CallOptions opts;
+  opts.timeout = sim::Milliseconds(1);
+  opts.max_attempts = 2;
+  std::vector<Status> statuses;
+  auto call = [](RpcEndpoint* c, NodeId dst, CallOptions o,
+                 std::vector<Status>* out) -> sim::Task<void> {
+    auto r = co_await c->Call(dst, MakeMsg<PingMsg>(1), o);
+    out->push_back(r.status());
+  };
+  for (int i = 0; i < 3; ++i) {
+    sim::Spawn(call(&client, server.id(), opts, &statuses));
+  }
+  h.sim_.RunUntil(sim::Microseconds(20));
+  EXPECT_EQ(server.cached_replies(client.id()), 3u);
+
+  client.ResetVolatileState();  // the caller crashes and restarts
+  sim::Spawn(call(&client, server.id(), opts, &statuses));
+  h.sim_.RunUntil(sim::Microseconds(40));
+  EXPECT_EQ(handler_runs, 4);
+  EXPECT_EQ(server.cached_replies(client.id()), 1u);
+
+  h.sim_.Run();
+  ASSERT_EQ(statuses.size(), 4u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(statuses[i].code(), StatusCode::kUnavailable);  // abandoned
+  }
+  EXPECT_EQ(statuses[3].code(), StatusCode::kTimeout);
+}
+
+TEST(RpcReplyWindow, SequentialCallsKeepTheWindowBounded) {
+  RpcHarness h;
+  constexpr int kCalls = 10000;
+  size_t max_cached = 0;
+  int ok_count = 0;
+  sim::Spawn([](RpcHarness* h, size_t* max_cached,
+                int* ok) -> sim::Task<void> {
+    for (int i = 0; i < kCalls; ++i) {
+      auto r = co_await h->client_.Call(h->server_.id(), MakeMsg<PingMsg>(i));
+      if (r.ok()) {
+        (*ok)++;
+      }
+      *max_cached = std::max(*max_cached,
+                             h->server_.cached_replies(h->client_.id()));
+    }
+  }(&h, &max_cached, &ok_count));
+  h.sim_.Run();
+  EXPECT_EQ(ok_count, kCalls);
+  EXPECT_EQ(h.requests_seen_, kCalls);
+  EXPECT_GE(max_cached, 1u);
+  EXPECT_LE(max_cached, 2u);
 }
 
 TEST(Rpc, NotifyReachesRawHandler) {
