@@ -17,14 +17,25 @@
 //    587-1140 us means).
 //  * IndexFS-sim — per-directory partitioning like E-InfiniFS with
 //    lease-based client caching (per-op lease validation overhead).
+//
+// Clients: BaselineCluster::NewClient hands out the shared core::FsClient
+// (src/core/client.h), the same path resolution, retry loop, session, batch
+// and rename code SwitchFS runs, and answers its one placement question
+// (core::ClientPlacement) with BaselinePlacement below: an inode of
+// (pid, name) at FileServer, a directory-targeted op by the directory's id
+// at DirServer, plus CephFS-sim's subtree keys on every request. The
+// baselines use the base-class Readdir and BatchStatDir; the pipelined and
+// native versions are SwitchFS-only.
 #ifndef SRC_BASELINES_BASELINE_H_
 #define SRC_BASELINES_BASELINE_H_
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "src/core/client.h"
 #include "src/core/client_cache.h"
 #include "src/core/dir_session.h"
 #include "src/core/fs_world.h"
@@ -153,8 +164,6 @@ class BaselineServer {
   kv::KvStore& kv() { return kv_; }
 
  private:
-  friend class BaselineClient;
-
   void OnRequest(net::Packet p);
   sim::Task<void> HandleMeta(net::Packet p);
   sim::Task<void> HandleLookup(net::Packet p);
@@ -215,67 +224,10 @@ class BaselineServer {
   uint64_t ops_ = 0;
 };
 
-class BaselineClient : public core::MetadataService {
- public:
-  BaselineClient(sim::Simulator* sim, net::Network* net,
-                 BaselineCluster* cluster, const sim::CostModel* costs);
-
-  sim::Task<Status> Create(const std::string& path) override;
-  sim::Task<Status> Unlink(const std::string& path) override;
-  sim::Task<Status> Mkdir(const std::string& path) override;
-  sim::Task<Status> Rmdir(const std::string& path) override;
-  sim::Task<StatusOr<core::Attr>> Stat(const std::string& path) override;
-  sim::Task<StatusOr<core::Attr>> StatDir(const std::string& path) override;
-  sim::Task<StatusOr<core::Attr>> Open(const std::string& path) override;
-  sim::Task<Status> Close(const std::string& path) override;
-  sim::Task<Status> SetAttr(const std::string& path,
-                            const core::AttrDelta& delta) override;
-  sim::Task<StatusOr<core::DirHandle>> OpenDir(
-      const std::string& path) override;
-  sim::Task<StatusOr<core::DirPage>> ReaddirPage(const core::DirHandle& handle,
-                                                 uint64_t cookie) override;
-  sim::Task<Status> CloseDir(const core::DirHandle& handle) override;
-  sim::Task<std::vector<StatusOr<core::Attr>>> BatchStat(
-      const std::vector<std::string>& paths) override;
-  sim::Task<std::vector<Status>> BulkInsert(
-      const core::DirHandle& handle,
-      const std::vector<std::string>& names) override;
-  sim::Task<Status> Rename(const std::string& from,
-                           const std::string& to) override;
-
-  core::ClientCache& cache() { return cache_; }
-
- private:
-  struct OpResult {
-    Status status;
-    core::Attr attr;
-    std::vector<core::DirEntry> entries;
-    uint64_t dir_session = 0;
-    uint64_t next_cookie = 0;
-    bool at_end = false;
-  };
-
-  sim::Task<StatusOr<core::CachedDir>> ResolveDir(const std::string& path);
-  sim::Task<StatusOr<core::PathRef>> ResolveParent(const std::string& path);
-  sim::Task<OpResult> Issue(core::OpType op, const std::string& path,
-                            bool want_entries,
-                            const core::AttrDelta* delta = nullptr);
-  // Session-addressed ops (ReaddirPage / CloseDir): routed straight to the
-  // home server pinned in the handle state, no path resolution.
-  sim::Task<OpResult> IssueSessionOp(core::OpType op, uint32_t server,
-                                     uint64_t session, uint64_t cookie);
-
-  sim::Simulator* sim_;
-  BaselineCluster* cluster_;
-  const sim::CostModel* costs_;
-  net::RpcEndpoint rpc_;
-  net::CallOptions call_;
-  net::CallOptions txn_call_;      // renames (multi-RPC transactions)
-  net::CallOptions opendir_call_;  // O(directory) snapshot scan at the server
-  core::ClientCache cache_;
-};
-
-class BaselineCluster : public core::FsWorld {
+// Also the client placement of the baselines (see the file comment).
+// NewClient sets the baselines' own client constants: a 100 us retry
+// backoff and CephFS-sim's transaction-scale deadlines.
+class BaselineCluster : public core::FsWorld, public core::ClientPlacement {
  public:
   explicit BaselineCluster(BaselineConfig config);
   ~BaselineCluster() override;
@@ -292,7 +244,19 @@ class BaselineCluster : public core::FsWorld {
   const BaselineConfig& config() const { return config_; }
   const core::HashRing& ring() const { return ring_; }
   const BaselinePlacement& placement() const { return *placement_; }
-  net::NodeId ServerNode(uint32_t i) const { return servers_[i]->node_id(); }
+
+  // core::ClientPlacement:
+  net::NodeId ServerNode(uint32_t i) const override {
+    return servers_[i]->node_id();
+  }
+  uint32_t InodeServer(const core::InodeId& pid, const std::string& name,
+                       std::string_view dir_path) const override;
+  bool DirOpsById() const override { return true; }
+  uint32_t DirServer(const core::InodeId& dir,
+                     std::string_view path) const override;
+  void StampRoute(core::MetaReq& req, std::string_view path,
+                  std::string_view to) const override;
+
   uint32_t ServerCount() const {
     return static_cast<uint32_t>(servers_.size());
   }
@@ -309,7 +273,6 @@ class BaselineCluster : public core::FsWorld {
   }
 
  private:
-  friend class BaselineClient;
   friend class BaselineServer;
 
   void BumpPreloadedDirSize(const std::string& dir_path);

@@ -400,6 +400,18 @@ sim::Task<void> Aggregation::ApplyEntries(VolPtr v, InodeId dir, uint32_t src,
   // Each logged record is applied by the same row redo WAL replay runs
   // (ServerVolatile::RedoDirent), so the runtime and recovered states agree
   // by construction.
+  auto record = [&](const ChangeLogEntry& e, uint64_t result_size,
+                    int64_t result_mtime) {
+    EntryApplyRecord rec;
+    rec.dir = dir;
+    rec.src_server = src;
+    rec.fp = lane_fp;
+    rec.entry = e;
+    rec.result_size = result_size;
+    rec.result_mtime = result_mtime;
+    rec.batch_token = batch_token;
+    return rec;
+  };
   if (ctx_.config->compaction) {
     // §5.3: consolidated attribute update (every record carries the batch's
     // final size/mtime; one attr-merge charge) + entry-list operations fanned
@@ -415,14 +427,7 @@ sim::Task<void> Aggregation::ApplyEntries(VolPtr v, InodeId dir, uint32_t src,
     auto join = std::make_shared<sim::JoinCounter>(
         ctx_.sim, static_cast<int>(todo.size()));
     for (const ChangeLogEntry& e : todo) {
-      EntryApplyRecord rec;
-      rec.dir = dir;
-      rec.src_server = src;
-      rec.fp = lane_fp;
-      rec.entry = e;
-      rec.result_size = result_size;
-      rec.result_mtime = max_ts;
-      rec.batch_token = batch_token;
+      EntryApplyRecord rec = record(e, result_size, max_ts);
       ctx_.durable->wal.Append(kWalEntryApply, rec.Encode());
       sim::Spawn([](ServerContext* ctx, VolPtr vol, std::string ikey,
                     EntryApplyRecord rec, LwwStamp stamp,
@@ -445,16 +450,11 @@ sim::Task<void> Aggregation::ApplyEntries(VolPtr v, InodeId dir, uint32_t src,
     // No compaction (+Async ablation): every entry is a full read-modify-
     // write of the directory inode, serialized under the inode lock.
     for (const ChangeLogEntry& e : todo) {
-      EntryApplyRecord rec;
-      rec.dir = dir;
-      rec.src_server = src;
-      rec.fp = lane_fp;
-      rec.entry = e;
       const int64_t new_size =
           std::max<int64_t>(0, static_cast<int64_t>(attr.size) + e.size_delta);
-      rec.result_size = static_cast<uint64_t>(new_size);
-      rec.result_mtime = std::max(attr.mtime, e.timestamp);
-      rec.batch_token = batch_token;
+      const EntryApplyRecord rec =
+          record(e, static_cast<uint64_t>(new_size),
+                 std::max(attr.mtime, e.timestamp));
       co_await ctx_.cpu->Run(ctx_.costs->wal_append);
       if (v->dead) co_return;
       ctx_.durable->wal.Append(kWalEntryApply, rec.Encode());

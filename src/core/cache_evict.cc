@@ -24,8 +24,6 @@ sim::Task<void> EvictSwitchCacheEntry(ServerContext& ctx, VolPtr v,
   (void)witness;
 #endif
   const uint64_t token = v->op_token_counter++;
-  auto wait = std::make_shared<ServerVolatile::CacheEvictWait>();
-  v->cache_evict_waits[token] = wait;
 
   // Self-addressed evict: the switch bumps the set version and drops the
   // entry in flight, then the packet reaches our raw handler as the ack.
@@ -35,26 +33,11 @@ sim::Task<void> EvictSwitchCacheEntry(ServerContext& ctx, VolPtr v,
   ev.mc.fingerprint = fp;
   ev.mc.token = token;
 
-  bool acked = false;
-  for (int attempt = 0; attempt < ctx.config->cache_evict_max_attempts;
-       ++attempt) {
-    if (wait->acked) {
-      acked = true;
-      break;
-    }
-    wait->slot = std::make_shared<sim::OneShot<int>>(ctx.sim);
-    ctx.rpc->Send(ev);
-    auto slot = wait->slot;
-    ctx.sim->ScheduleAfter(ctx.config->cache_evict_timeout,
-                           [slot] { slot->Set(0); });
-    const int result = co_await slot->Wait();
-    if (v->dead) co_return;
-    if (result != 0) {
-      acked = true;
-      break;
-    }
-  }
-  v->cache_evict_waits.erase(token);
+  const bool acked =
+      co_await SendUntilAcked(ctx, v, token, std::move(ev),
+                              ctx.config->cache_evict_timeout,
+                              ctx.config->cache_evict_max_attempts) != 0;
+  if (v->dead) co_return;
   if (acked) {
     ctx.stats->cache_evicts++;
     v->cached_fps.erase(fp);

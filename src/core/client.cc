@@ -6,19 +6,19 @@
 #include <utility>
 
 #include "src/common/strings.h"
-#include "src/core/batch_stat.h"
 #include "src/core/cache_record.h"
+#include "src/core/schema.h"
 #include "src/pswitch/meta_cache.h"
 #include "src/sim/sync.h"
 #include "src/tracker/dirty_tracker.h"
 
 namespace switchfs::core {
 
-SwitchFsClient::SwitchFsClient(sim::Simulator* sim, net::Network* net,
-                               ClusterContext* cluster,
-                               const sim::CostModel* costs, Config config)
+FsClient::FsClient(sim::Simulator* sim, net::Network* net,
+                   const ClientPlacement* placement,
+                   const sim::CostModel* costs, Config config)
     : sim_(sim),
-      cluster_(cluster),
+      placement_(placement),
       costs_(costs),
       config_(std::move(config)),
       rpc_(sim, net) {
@@ -31,7 +31,7 @@ SwitchFsClient::SwitchFsClient(sim::Simulator* sim, net::Network* net,
   cache_.Put("/", root);
 }
 
-const MetaResp* SwitchFsClient::UnwrapResponse(const net::MsgPtr& msg) {
+const MetaResp* FsClient::UnwrapResponse(const net::MsgPtr& msg) {
   if (msg == nullptr) {
     return nullptr;
   }
@@ -42,7 +42,17 @@ const MetaResp* SwitchFsClient::UnwrapResponse(const net::MsgPtr& msg) {
   return net::MsgAs<MetaResp>(msg);
 }
 
-sim::Task<StatusOr<CachedDir>> SwitchFsClient::ResolveDir(
+bool FsClient::BounceStale(const MetaResp& resp) {
+  if (resp.status != StatusCode::kStaleCache) {
+    return false;
+  }
+  for (const InodeId& id : resp.stale_ids) {
+    cache_.InvalidateId(id);
+  }
+  return true;
+}
+
+sim::Task<StatusOr<CachedDir>> FsClient::ResolveDir(
     const std::string& path) {
   co_await sim::Delay(sim_, costs_->cache_lookup);
   if (const CachedDir* hit = cache_.Get(path)) {
@@ -55,7 +65,8 @@ sim::Task<StatusOr<CachedDir>> SwitchFsClient::ResolveDir(
   }
   // Resolve the parent first (recursively through the cache), then look the
   // final component up at its owner.
-  auto parent = co_await ResolveDir(std::string(ParentPath(path)));
+  const std::string parent_path(ParentPath(path));
+  auto parent = co_await ResolveDir(parent_path);
   if (!parent.ok()) {
     co_return parent.status();
   }
@@ -71,7 +82,9 @@ sim::Task<StatusOr<CachedDir>> SwitchFsClient::ResolveDir(
     opts.mc.fingerprint = fp;
   }
   auto r = co_await rpc_.Call(
-      cluster_->ServerNode(cluster_->ring().Owner(fp)), req, opts);
+      placement_->ServerNode(
+          placement_->InodeServer(parent->id, name, parent_path)),
+      req, opts);
   if (!r.ok()) {
     co_return r.status();
   }
@@ -119,7 +132,7 @@ sim::Task<StatusOr<CachedDir>> SwitchFsClient::ResolveDir(
   co_return entry;
 }
 
-sim::Task<StatusOr<PathRef>> SwitchFsClient::ResolveParent(
+sim::Task<StatusOr<PathRef>> FsClient::ResolveParent(
     const std::string& path) {
   if (!IsValidPath(path) || path == "/") {
     co_return InvalidArgumentError(path);
@@ -136,14 +149,32 @@ sim::Task<StatusOr<PathRef>> SwitchFsClient::ResolveParent(
   co_return ref;
 }
 
-sim::Task<SwitchFsClient::OpResult> SwitchFsClient::IssueOp(
-    MetaCall call, const std::string& path) {
+sim::Task<FsClient::OpResult> FsClient::IssueOp(MetaCall call,
+                                                const std::string& path) {
   OpResult out;
   co_await sim::Delay(sim_, costs_->client_op_cost);
 
   for (int attempt = 0; attempt < config_.max_op_retries; ++attempt) {
     PathRef ref;
-    if (path == "/" && call.dir_target) {
+    uint32_t server = 0;
+    if (call.dir_target && placement_->DirOpsById()) {
+      if (!IsValidPath(path)) {
+        out.status = InvalidArgumentError(path);
+        co_return out;
+      }
+      auto dir = co_await ResolveDir(path);
+      if (!dir.ok()) {
+        if (Transient(dir.status().code())) {
+          co_await sim::Delay(sim_, config_.retry_backoff);
+          continue;
+        }
+        out.status = dir.status();
+        co_return out;
+      }
+      ref.pid = dir->id;  // (id, ""): the directory itself
+      ref.ancestors = dir->ancestors;
+      server = placement_->DirServer(dir->id, path);
+    } else if (call.dir_target && path == "/") {
       // The root's inode is keyed (0, "/"). NOTE: assign(n, c) rather than a
       // literal assignment — GCC 12 flags the literal's inlined memcpy into
       // the coroutine frame with a spurious -Wrestrict.
@@ -151,12 +182,11 @@ sim::Task<SwitchFsClient::OpResult> SwitchFsClient::IssueOp(
       ref.name.assign(1, '/');
       ref.parent_fp = FingerprintOf(InodeId{}, "/");
       ref.ancestors = {AncestorRef{RootId(), 0}};
+      server = placement_->InodeServer(ref.pid, ref.name, path);
     } else {
       auto resolved = co_await ResolveParent(path);
       if (!resolved.ok()) {
-        if (resolved.status().code() == StatusCode::kStaleCache ||
-            resolved.status().code() == StatusCode::kTimeout ||
-            resolved.status().code() == StatusCode::kUnavailable) {
+        if (Transient(resolved.status().code())) {
           co_await sim::Delay(sim_, config_.retry_backoff);
           continue;
         }
@@ -164,6 +194,7 @@ sim::Task<SwitchFsClient::OpResult> SwitchFsClient::IssueOp(
         co_return out;
       }
       ref = *std::move(resolved);
+      server = placement_->InodeServer(ref.pid, ref.name, ParentPath(path));
     }
 
     auto req = std::make_shared<MetaReq>();
@@ -172,11 +203,9 @@ sim::Task<SwitchFsClient::OpResult> SwitchFsClient::IssueOp(
     req->want_entries = call.want_entries;
     req->mode = call.mode;
     req->delta = call.delta;
+    placement_->StampRoute(*req, path, {});
 
     const psw::Fingerprint target_fp = FingerprintOf(ref.pid, ref.name);
-    const net::NodeId dst =
-        cluster_->ServerNode(cluster_->ring().Owner(target_fp));
-
     net::CallOptions opts =
         call.op == OpType::kOpenDir ? config_.opendir_call : config_.call;
     if (config_.switch_cache &&
@@ -190,7 +219,7 @@ sim::Task<SwitchFsClient::OpResult> SwitchFsClient::IssueOp(
                                                     opts);
     }
 
-    auto r = co_await rpc_.Call(dst, req, opts);
+    auto r = co_await rpc_.Call(placement_->ServerNode(server), req, opts);
     if (!r.ok()) {
       co_await sim::Delay(sim_, config_.retry_backoff);
       continue;
@@ -201,6 +230,7 @@ sim::Task<SwitchFsClient::OpResult> SwitchFsClient::IssueOp(
       out.status = OkStatus();
       out.attr = UnpackCacheRecord(hit->record, nullptr);
       out.target_fp = target_fp;
+      out.server = server;
       co_return out;
     }
     const MetaResp* resp = UnwrapResponse(*r);
@@ -208,10 +238,7 @@ sim::Task<SwitchFsClient::OpResult> SwitchFsClient::IssueOp(
       out.status = InternalError("bad response");
       co_return out;
     }
-    if (resp->status == StatusCode::kStaleCache) {
-      for (const InodeId& id : resp->stale_ids) {
-        cache_.InvalidateId(id);
-      }
+    if (BounceStale(*resp)) {
       continue;
     }
     if (resp->status == StatusCode::kUnavailable) {
@@ -225,18 +252,20 @@ sim::Task<SwitchFsClient::OpResult> SwitchFsClient::IssueOp(
     out.next_cookie = resp->next_cookie;
     out.at_end = resp->at_end;
     out.target_fp = target_fp;
+    out.server = server;
     co_return out;
   }
   out.status = TimeoutError("op retries exhausted");
   co_return out;
 }
 
-sim::Task<SwitchFsClient::OpResult> SwitchFsClient::IssueSessionOp(
-    OpType op, psw::Fingerprint target_fp, uint64_t session, uint64_t cookie) {
+sim::Task<FsClient::OpResult> FsClient::IssueSessionOp(OpType op,
+                                                       uint32_t server,
+                                                       uint64_t session,
+                                                       uint64_t cookie) {
   OpResult out;
   co_await sim::Delay(sim_, costs_->client_op_cost);
-  const net::NodeId dst =
-      cluster_->ServerNode(cluster_->ring().Owner(target_fp));
+  const net::NodeId dst = placement_->ServerNode(server);
   // Transport-level retries only: the session either answers or is gone.
   // kUnavailable (owner recovering) maps to kStaleHandle — the recovering
   // incarnation wiped its session table, so the stream cannot resume.
@@ -274,22 +303,22 @@ sim::Task<SwitchFsClient::OpResult> SwitchFsClient::IssueSessionOp(
   co_return out;
 }
 
-sim::Task<Status> SwitchFsClient::Create(const std::string& path) {
+sim::Task<Status> FsClient::Create(const std::string& path) {
   OpResult r = co_await IssueOp(MetaCall::Mutation(OpType::kCreate), path);
   co_return r.status;
 }
 
-sim::Task<Status> SwitchFsClient::Unlink(const std::string& path) {
+sim::Task<Status> FsClient::Unlink(const std::string& path) {
   OpResult r = co_await IssueOp(MetaCall::Mutation(OpType::kUnlink), path);
   co_return r.status;
 }
 
-sim::Task<Status> SwitchFsClient::Mkdir(const std::string& path) {
+sim::Task<Status> FsClient::Mkdir(const std::string& path) {
   OpResult r = co_await IssueOp(MetaCall::Mutation(OpType::kMkdir), path);
   co_return r.status;
 }
 
-sim::Task<Status> SwitchFsClient::Rmdir(const std::string& path) {
+sim::Task<Status> FsClient::Rmdir(const std::string& path) {
   OpResult r = co_await IssueOp(MetaCall::Mutation(OpType::kRmdir), path);
   if (r.status.ok()) {
     cache_.ErasePath(path);
@@ -297,7 +326,7 @@ sim::Task<Status> SwitchFsClient::Rmdir(const std::string& path) {
   co_return r.status;
 }
 
-sim::Task<StatusOr<Attr>> SwitchFsClient::Stat(const std::string& path) {
+sim::Task<StatusOr<Attr>> FsClient::Stat(const std::string& path) {
   OpResult r = co_await IssueOp(MetaCall::FileRead(OpType::kStat), path);
   if (!r.status.ok()) {
     co_return r.status;
@@ -305,7 +334,7 @@ sim::Task<StatusOr<Attr>> SwitchFsClient::Stat(const std::string& path) {
   co_return r.attr;
 }
 
-sim::Task<StatusOr<Attr>> SwitchFsClient::StatDir(const std::string& path) {
+sim::Task<StatusOr<Attr>> FsClient::StatDir(const std::string& path) {
   OpResult r = co_await IssueOp(
       MetaCall::DirRead(OpType::kStatDir, /*want_entries=*/false), path);
   if (!r.status.ok()) {
@@ -324,7 +353,7 @@ sim::Task<StatusOr<std::vector<DirEntry>>> SwitchFsClient::ReaddirMonolithic(
   co_return r.entries;
 }
 
-sim::Task<StatusOr<Attr>> SwitchFsClient::Open(const std::string& path) {
+sim::Task<StatusOr<Attr>> FsClient::Open(const std::string& path) {
   OpResult r = co_await IssueOp(MetaCall::FileRead(OpType::kOpen), path);
   if (!r.status.ok()) {
     co_return r.status;
@@ -332,13 +361,13 @@ sim::Task<StatusOr<Attr>> SwitchFsClient::Open(const std::string& path) {
   co_return r.attr;
 }
 
-sim::Task<Status> SwitchFsClient::Close(const std::string& path) {
+sim::Task<Status> FsClient::Close(const std::string& path) {
   OpResult r = co_await IssueOp(MetaCall::FileRead(OpType::kClose), path);
   co_return r.status;
 }
 
-sim::Task<Status> SwitchFsClient::SetAttr(const std::string& path,
-                                          const AttrDelta& delta) {
+sim::Task<Status> FsClient::SetAttr(const std::string& path,
+                                    const AttrDelta& delta) {
   OpResult r = co_await IssueOp(MetaCall::AttrUpdate(delta), path);
   co_return r.status;
 }
@@ -347,11 +376,12 @@ sim::Task<Status> SwitchFsClient::SetAttr(const std::string& path,
 // Directory streams (MetadataService v2)
 // ---------------------------------------------------------------------------
 
-sim::Task<StatusOr<DirHandle>> SwitchFsClient::OpenDir(
+sim::Task<StatusOr<DirHandle>> FsClient::OpenDir(
     const std::string& path) {
-  // OpenDir is the consistency point of the stream: the owner aggregates
-  // under the agg gate (dirty-tracker pre-read hook attached) and opens the
-  // cursor session the pages will be served from.
+  // OpenDir is the consistency point of the stream: the owner makes the
+  // directory consistent (SwitchFS: aggregation under the agg gate, with the
+  // dirty-tracker pre-read hook attached) and opens the session the pages
+  // will be served from.
   MetaCall call = MetaCall::DirRead(OpType::kOpenDir, /*want_entries=*/false);
   OpResult r = co_await IssueOp(call, path);
   if (!r.status.ok()) {
@@ -361,23 +391,23 @@ sim::Task<StatusOr<DirHandle>> SwitchFsClient::OpenDir(
   state.path = path;
   state.dir = r.attr.id;
   state.session = r.dir_session;
-  // Pin the routing to the fingerprint the open was actually sent by: the
-  // session lives at that owner, and a re-resolution here could diverge
-  // (concurrent rename/invalidation) and point every page at the wrong
-  // server.
-  state.target_fp = r.target_fp;
+  // Pin the routing to the server the open was actually sent to: the
+  // session lives there, and a re-resolution here could diverge (concurrent
+  // rename/invalidation) and point every page at the wrong server.
+  state.server = r.server;
+  state.dir_fp = r.target_fp;
   DirHandle handle;
   handle.id = cache_.PutHandle(std::move(state));
   co_return handle;
 }
 
-sim::Task<StatusOr<DirPage>> SwitchFsClient::ReaddirPage(
+sim::Task<StatusOr<DirPage>> FsClient::ReaddirPage(
     const DirHandle& handle, uint64_t cookie) {
   OpenDirState* state = cache_.GetHandle(handle.id);
   if (state == nullptr) {
     co_return InvalidArgumentError("unknown dir handle");
   }
-  OpResult r = co_await IssueSessionOp(OpType::kReaddirPage, state->target_fp,
+  OpResult r = co_await IssueSessionOp(OpType::kReaddirPage, state->server,
                                        state->session, cookie);
   if (!r.status.ok()) {
     co_return r.status;
@@ -389,17 +419,17 @@ sim::Task<StatusOr<DirPage>> SwitchFsClient::ReaddirPage(
   co_return page;
 }
 
-sim::Task<Status> SwitchFsClient::CloseDir(const DirHandle& handle) {
+sim::Task<Status> FsClient::CloseDir(const DirHandle& handle) {
   OpenDirState* state = cache_.GetHandle(handle.id);
   if (state == nullptr) {
     co_return OkStatus();  // already closed (idempotent)
   }
-  const psw::Fingerprint target_fp = state->target_fp;
+  const uint32_t server = state->server;
   const uint64_t session = state->session;
   cache_.EraseHandle(handle.id);
   // Best-effort server-side release; the TTL watchdog reclaims the session
   // anyway if this notification is lost.
-  OpResult r = co_await IssueSessionOp(OpType::kCloseDir, target_fp, session,
+  OpResult r = co_await IssueSessionOp(OpType::kCloseDir, server, session,
                                        /*cookie=*/0);
   (void)r;
   co_return OkStatus();
@@ -485,27 +515,100 @@ sim::Task<StatusOr<std::vector<DirEntry>>> SwitchFsClient::Readdir(
 // Batched lookups (MetadataService v2)
 // ---------------------------------------------------------------------------
 
-sim::Task<std::vector<StatusOr<Attr>>> SwitchFsClient::BatchStat(
+sim::Task<std::vector<StatusOr<Attr>>> FsClient::RunBatchStat(
+    std::vector<std::string> paths, OpType op, bool scattered_hint,
+    net::CallOptions call) {
+  std::vector<StatusOr<Attr>> results(paths.size(),
+                                      StatusOr<Attr>(InternalError("not run")));
+  std::vector<size_t> open;  // indices still unresolved
+  open.reserve(paths.size());
+  for (size_t i = 0; i < paths.size(); ++i) {
+    open.push_back(i);
+  }
+
+  for (int attempt = 0; attempt < config_.max_op_retries && !open.empty();
+       ++attempt) {
+    struct Group {
+      std::vector<size_t> indices;
+      std::vector<PathRef> refs;
+    };
+    std::map<uint32_t, Group> groups;
+    std::vector<size_t> still_open;
+    for (size_t i : open) {
+      auto ref = co_await ResolveParent(paths[i]);
+      if (!ref.ok()) {
+        if (Transient(ref.status().code())) {
+          still_open.push_back(i);  // retry next round
+          continue;
+        }
+        results[i] = ref.status();
+        continue;
+      }
+      Group& g = groups[placement_->InodeServer(ref->pid, ref->name,
+                                                ParentPath(paths[i]))];
+      g.indices.push_back(i);
+      g.refs.push_back(*std::move(ref));
+    }
+
+    for (auto& [server, group] : groups) {
+      auto req = std::make_shared<MetaReq>();
+      req->op = op;
+      req->scattered_hint = scattered_hint;
+      req->targets = std::move(group.refs);
+      auto r = co_await rpc_.Call(placement_->ServerNode(server), req, call);
+      if (!r.ok()) {
+        for (size_t i : group.indices) {
+          still_open.push_back(i);  // server unreachable: retry the group
+        }
+        continue;
+      }
+      const auto* resp = net::MsgAs<MetaResp>(*r);
+      if (resp == nullptr ||
+          resp->batch_status.size() != group.indices.size()) {
+        for (size_t i : group.indices) {
+          results[i] = InternalError("bad batch-stat response");
+        }
+        continue;
+      }
+      for (const InodeId& id : resp->stale_ids) {
+        cache_.InvalidateId(id);
+      }
+      for (size_t k = 0; k < group.indices.size(); ++k) {
+        const size_t i = group.indices[k];
+        switch (resp->batch_status[k]) {
+          case StatusCode::kOk:
+            results[i] = resp->batch_attrs[k];
+            break;
+          case StatusCode::kStaleCache:
+          case StatusCode::kUnavailable:
+            still_open.push_back(i);  // re-resolve with the fresh cache
+            break;
+          default:
+            results[i] = Status(resp->batch_status[k]);
+            break;
+        }
+      }
+    }
+    open = std::move(still_open);
+    if (!open.empty()) {
+      co_await sim::Delay(sim_, config_.retry_backoff);
+    }
+  }
+  for (size_t i : open) {
+    results[i] = TimeoutError("batch-stat retries exhausted");
+  }
+  co_return results;
+}
+
+sim::Task<std::vector<StatusOr<Attr>>> FsClient::BatchStat(
     const std::vector<std::string>& paths) {
   co_await sim::Delay(sim_, costs_->client_op_cost);
-  // Targets group by the (pid, name) hash owner — the read-path mirror of
-  // the per-owner push batching. The scaffolding (grouping, multi-target
-  // RPCs, per-target verdicts, retries) is shared with the baselines.
-  co_return co_await RunBatchStat(
-      sim_, rpc_, cache_, paths, OpType::kBatchStat, /*scattered_hint=*/false,
-      config_.max_op_retries, config_.retry_backoff, config_.call,
-      [this](const std::string& path) -> sim::Task<StatusOr<BatchTarget>> {
-        auto ref = co_await ResolveParent(path);
-        if (!ref.ok()) {
-          co_return ref.status();
-        }
-        BatchTarget target;
-        target.server =
-            cluster_->ring().Owner(FingerprintOf(ref->pid, ref->name));
-        target.ref = *std::move(ref);
-        co_return target;
-      },
-      [this](uint32_t server) { return cluster_->ServerNode(server); });
+  // Targets group by the system's inode placement — the read-path mirror
+  // of the per-owner push batching. E-InfiniFS/IndexFS collapse a
+  // directory's files onto one server, SwitchFS and E-CFS spread them per
+  // (pid, name), CephFS routes whole subtrees.
+  co_return co_await RunBatchStat(paths, OpType::kBatchStat,
+                                  /*scattered_hint=*/false, config_.call);
 }
 
 sim::Task<std::vector<StatusOr<Attr>>> SwitchFsClient::BatchStatDir(
@@ -517,40 +620,25 @@ sim::Task<std::vector<StatusOr<Attr>>> SwitchFsClient::BatchStatDir(
   // owned by its own (pid, name) fingerprint, so the routing is identical.
   // Gate deadline caveat: an aggregation per target can push a large batch
   // past the tight default call deadline, so reuse the OpenDir-scale one.
-  co_return co_await RunBatchStat(
-      sim_, rpc_, cache_, paths, OpType::kBatchStatDir,
-      config_.batch_stat_dir_hint, config_.max_op_retries,
-      config_.retry_backoff, config_.opendir_call,
-      [this](const std::string& path) -> sim::Task<StatusOr<BatchTarget>> {
-        auto ref = co_await ResolveParent(path);
-        if (!ref.ok()) {
-          co_return ref.status();
-        }
-        BatchTarget target;
-        target.server =
-            cluster_->ring().Owner(FingerprintOf(ref->pid, ref->name));
-        target.ref = *std::move(ref);
-        co_return target;
-      },
-      [this](uint32_t server) { return cluster_->ServerNode(server); });
+  co_return co_await RunBatchStat(paths, OpType::kBatchStatDir,
+                                  config_.batch_stat_dir_hint,
+                                  config_.opendir_call);
 }
 
 // ---------------------------------------------------------------------------
 // Bulk insert (MetadataService v2)
 // ---------------------------------------------------------------------------
 
-sim::Task<void> SwitchFsClient::SendBulkChunk(
+sim::Task<void> FsClient::SendBulkChunk(
     std::string dir_path, InodeId dir, psw::Fingerprint parent_fp,
-    uint32_t owner, const std::vector<std::string>& names,
+    uint32_t server, const std::vector<std::string>& names,
     std::vector<size_t> idxs, std::vector<Status>* out) {
   for (int attempt = 0; attempt < config_.max_op_retries; ++attempt) {
     // Re-resolve the directory each attempt for fresh ancestors (the
     // identity — pid and change-log fingerprint — is pinned by the handle).
     auto resolved = co_await ResolveDir(dir_path);
     if (!resolved.ok()) {
-      if (resolved.status().code() == StatusCode::kStaleCache ||
-          resolved.status().code() == StatusCode::kTimeout ||
-          resolved.status().code() == StatusCode::kUnavailable) {
+      if (Transient(resolved.status().code())) {
         co_await sim::Delay(sim_, config_.retry_backoff);
         continue;
       }
@@ -568,7 +656,9 @@ sim::Task<void> SwitchFsClient::SendBulkChunk(
     for (size_t i : idxs) {
       req->bulk_names.push_back(names[i]);
     }
-    auto r = co_await rpc_.Call(cluster_->ServerNode(owner), req, config_.call);
+    placement_->StampRoute(*req, dir_path, {});
+    auto r =
+        co_await rpc_.Call(placement_->ServerNode(server), req, config_.call);
     if (!r.ok()) {
       co_await sim::Delay(sim_, config_.retry_backoff);
       continue;
@@ -580,10 +670,7 @@ sim::Task<void> SwitchFsClient::SendBulkChunk(
       }
       co_return;
     }
-    if (resp->status == StatusCode::kStaleCache) {
-      for (const InodeId& id : resp->stale_ids) {
-        cache_.InvalidateId(id);
-      }
+    if (BounceStale(*resp)) {
       continue;
     }
     if (resp->status == StatusCode::kUnavailable) {
@@ -608,7 +695,7 @@ sim::Task<void> SwitchFsClient::SendBulkChunk(
   }
 }
 
-sim::Task<std::vector<Status>> SwitchFsClient::BulkInsert(
+sim::Task<std::vector<Status>> FsClient::BulkInsert(
     const DirHandle& handle, const std::vector<std::string>& names) {
   co_await sim::Delay(sim_, costs_->client_op_cost);
   std::vector<Status> out(names.size(), OkStatus());
@@ -626,17 +713,17 @@ sim::Task<std::vector<Status>> SwitchFsClient::BulkInsert(
   // must not be held across a suspension.
   const std::string dir_path = state->path;
   const InodeId dir = state->dir;
-  const psw::Fingerprint parent_fp = state->target_fp;
+  const psw::Fingerprint parent_fp = state->dir_fp;
 
-  // The create-path mirror of BatchStat: group names by the owner of their
-  // (dir, name) hash, then chunk each group to the transport page budget —
-  // one multi-entry RPC (and one server-side WAL record) per chunk instead
-  // of one round trip per name.
-  std::map<uint32_t, std::vector<size_t>> by_owner;
+  // The create-path mirror of BatchStat: group names by the server placement
+  // puts their inode on, then chunk each group to the transport page budget
+  // — one multi-entry RPC (and one server-side WAL record) per chunk
+  // instead of one round trip per name.
+  std::map<uint32_t, std::vector<size_t>> by_server;
   for (size_t i = 0; i < names.size(); ++i) {
-    by_owner[cluster_->ring().Owner(FingerprintOf(dir, names[i]))].push_back(i);
+    by_server[placement_->InodeServer(dir, names[i], dir_path)].push_back(i);
   }
-  for (auto& [owner, idxs] : by_owner) {
+  for (auto& [server, idxs] : by_server) {
     size_t start = 0;
     while (start < idxs.size()) {
       size_t used = 0;
@@ -649,7 +736,7 @@ sim::Task<std::vector<Status>> SwitchFsClient::BulkInsert(
         ++end;
       }
       co_await SendBulkChunk(
-          dir_path, dir, parent_fp, owner, names,
+          dir_path, dir, parent_fp, server, names,
           std::vector<size_t>(idxs.begin() + static_cast<ptrdiff_t>(start),
                               idxs.begin() + static_cast<ptrdiff_t>(end)),
           &out);
@@ -681,10 +768,10 @@ sim::Task<Status> SwitchFsClient::Link(const std::string& src,
     req->op = OpType::kLink;
     req->ref = *d;
     req->ref2 = *s;
-    const psw::Fingerprint target_fp = FingerprintOf(d->pid, d->name);
     auto r = co_await rpc_.Call(
-        cluster_->ServerNode(cluster_->ring().Owner(target_fp)), req,
-        config_.txn_call);
+        placement_->ServerNode(
+            placement_->InodeServer(d->pid, d->name, ParentPath(dst))),
+        req, config_.txn_call);
     if (!r.ok()) {
       co_await sim::Delay(sim_, config_.retry_backoff);
       continue;
@@ -693,10 +780,7 @@ sim::Task<Status> SwitchFsClient::Link(const std::string& src,
     if (resp == nullptr) {
       co_return InternalError("bad link response");
     }
-    if (resp->status == StatusCode::kStaleCache) {
-      for (const InodeId& id : resp->stale_ids) {
-        cache_.InvalidateId(id);
-      }
+    if (BounceStale(*resp)) {
       continue;
     }
     co_return Status(resp->status);
@@ -704,8 +788,8 @@ sim::Task<Status> SwitchFsClient::Link(const std::string& src,
   co_return TimeoutError("link retries exhausted");
 }
 
-sim::Task<Status> SwitchFsClient::Rename(const std::string& from,
-                                         const std::string& to) {
+sim::Task<Status> FsClient::Rename(const std::string& from,
+                                   const std::string& to) {
   co_await sim::Delay(sim_, costs_->client_op_cost);
   for (int attempt = 0; attempt < config_.max_op_retries; ++attempt) {
     auto src = co_await ResolveParent(from);
@@ -726,8 +810,9 @@ sim::Task<Status> SwitchFsClient::Rename(const std::string& from,
     req->op = OpType::kRename;
     req->ref = *src;
     req->ref2 = *dst;
+    placement_->StampRoute(*req, from, to);
     auto r = co_await rpc_.Call(
-        cluster_->ServerNode(config_.rename_coordinator), req,
+        placement_->ServerNode(config_.rename_coordinator), req,
         config_.txn_call);
     if (!r.ok()) {
       co_await sim::Delay(sim_, config_.retry_backoff);
@@ -737,10 +822,7 @@ sim::Task<Status> SwitchFsClient::Rename(const std::string& from,
     if (resp == nullptr) {
       co_return InternalError("bad rename response");
     }
-    if (resp->status == StatusCode::kStaleCache) {
-      for (const InodeId& id : resp->stale_ids) {
-        cache_.InvalidateId(id);
-      }
+    if (BounceStale(*resp)) {
       continue;
     }
     if (resp->status == StatusCode::kOk) {

@@ -72,15 +72,15 @@ class WarmSnapshot {
 };
 
 // Client-side state behind one DirHandle (MetadataService v2): where the
-// owner-side session lives and how to route page requests back to it. The
+// server-side session lives and how to route page requests back to it. The
 // routing is pinned at OpenDir — the session stays at the server that
 // opened it even if the directory is renamed away mid-stream.
 struct OpenDirState {
   std::string path;
-  InodeId dir;                     // directory id (observability)
-  psw::Fingerprint target_fp = 0;  // SwitchFS: owner routing of the (pid, name)
-  uint32_t server = 0;             // baselines: the dir's home-server index
-  uint64_t session = 0;            // owner-side session id
+  InodeId dir;                  // directory id
+  psw::Fingerprint dir_fp = 0;  // fingerprint of the opened (pid, name)
+  uint32_t server = 0;          // the server holding the session
+  uint64_t session = 0;         // server-side session id
 };
 
 class SFS_SUSPENSION_SHARED ClientCache {

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -52,7 +53,7 @@ struct ClusterConfig {
   ServerConfig server_template;
 };
 
-class Cluster : public ClusterContext, public FsWorld {
+class Cluster : public ClusterContext, public ClientPlacement, public FsWorld {
  public:
   explicit Cluster(ClusterConfig config);
   ~Cluster() override;
@@ -70,13 +71,20 @@ class Cluster : public ClusterContext, public FsWorld {
   void PreloadFileAt(const std::string& path) override { PreloadFile(path); }
   std::string name() const override { return "SwitchFS"; }
 
-  // --- ClusterContext ---
+  // --- ClusterContext (and ClientPlacement::ServerNode) ---
   const HashRing& ring() const override { return ring_; }
   net::NodeId ServerNode(uint32_t server_index) const override {
     return servers_[server_index]->node_id();
   }
   uint32_t ServerCount() const override {
     return static_cast<uint32_t>(servers_.size());
+  }
+
+  // --- ClientPlacement: every target, directories included, lives at the
+  // ring owner of its (pid, name) fingerprint ---
+  uint32_t InodeServer(const InodeId& pid, const std::string& name,
+                       std::string_view /*dir_path*/) const override {
+    return ring_.Owner(FingerprintOf(pid, name));
   }
 
   sim::Simulator& sim() { return *sim_; }

@@ -273,12 +273,7 @@ void SwitchServer::OnRaw(net::Packet p) {
     // it through the switch (which executed the evict in flight) back to us.
     // Multicast invalidations also carry an evict stamp — their token never
     // matches a wait (it is 0), so their bodies are handled below.
-    auto it = v->cache_evict_waits.find(p.mc.token);
-    if (it != v->cache_evict_waits.end()) {
-      it->second->acked = true;
-      if (it->second->slot != nullptr) {
-        it->second->slot->Set(1);
-      }
+    if (v->SettleAckWait(p.mc.token, 1)) {
       return;
     }
   }
@@ -606,19 +601,46 @@ sim::Task<Status> SwitchServer::SyncParentUpdate(VolPtr v, psw::Fingerprint fp,
 // Insert acks & overflow fallback
 // ---------------------------------------------------------------------------
 
+sim::Task<int> SendUntilAcked(const ServerContext& ctx, VolPtr v,
+                              uint64_t token, net::Packet pkt,
+                              sim::SimTime timeout, int max_attempts) {
+  auto wait = std::make_shared<ServerVolatile::AckWait>(ctx.sim);
+  v->ack_waits[token] = wait;
+  int result = 0;
+  for (int attempt = 0; attempt < max_attempts; ++attempt) {
+    if (wait->outcome != 0) {
+      result = wait->outcome;
+      break;
+    }
+    wait->slot = sim::OneShot<int>(ctx.sim);
+    ctx.rpc->Send(pkt);
+    ctx.sim->ScheduleAfter(
+        timeout, [weak = std::weak_ptr<ServerVolatile>(v), token] {
+          const VolPtr live = weak.lock();
+          if (live == nullptr) {
+            return;
+          }
+          auto it = live->ack_waits.find(token);
+          if (it != live->ack_waits.end()) {
+            it->second->slot.Set(0);
+          }
+        });
+    result = co_await wait->slot.Wait();
+    if (v->dead) co_return 0;
+    if (result != 0) {
+      break;
+    }
+  }
+  v->ack_waits.erase(token);
+  co_return result;
+}
+
 void SwitchServer::HandleInsertAck(const net::Packet& p, VolPtr v) {
   const auto* env = net::MsgAs<InsertEnvelope>(p.body);
   if (env == nullptr) {
     return;
   }
-  auto it = v->op_waits.find(env->op_token);
-  if (it == v->op_waits.end()) {
-    return;  // duplicate/late ack
-  }
-  it->second->acked = true;
-  if (it->second->slot != nullptr) {
-    it->second->slot->Set(1);
-  }
+  v->SettleAckWait(env->op_token, 1);  // no-op for a duplicate or late ack
 }
 
 sim::Task<void> SwitchServer::HandleInsertFallback(net::Packet p, VolPtr v) {
@@ -663,11 +685,9 @@ sim::Task<void> SwitchServer::HandleInsertFallback(net::Packet p, VolPtr v) {
 }
 
 void SwitchServer::HandleFallbackDone(const FallbackDone& msg, VolPtr v) {
-  auto it = v->op_waits.find(msg.op_token);
-  if (it == v->op_waits.end()) {
+  if (v->ack_waits.count(msg.op_token) == 0) {
     return;
   }
-  auto wait = it->second;
   // Trim ONLY the fingerprint the backlog was sent under: acked_seq is in
   // that log's numbering, and a moved_fp rebind racing this notification
   // may have re-keyed the directory's log under another fingerprint with
@@ -675,10 +695,7 @@ void SwitchServer::HandleFallbackDone(const FallbackDone& msg, VolPtr v) {
   // (The rebound copy of the applied prefix is trimmed by the kMoved
   // verdict's applied marks instead.)
   AckChangeLogUpTo(v, msg.fp, msg.dir, msg.acked_seq);
-  wait->fallback_done = true;
-  if (wait->slot != nullptr) {
-    wait->slot->Set(2);
-  }
+  v->SettleAckWait(msg.op_token, 2);
 }
 
 // ---------------------------------------------------------------------------

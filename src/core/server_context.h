@@ -319,14 +319,14 @@ struct SFS_SUSPENSION_SHARED ServerVolatile {
   using AggSession = core::AggSession;
   using OwnerPusher = core::OwnerPusher;
 
-  struct OpWait {  // insert-ack / overflow-fallback wait (§5.2.1 step 7)
-    bool acked = false;
-    bool fallback_done = false;
-    std::shared_ptr<sim::OneShot<int>> slot;  // armed per attempt
-  };
-  struct CacheEvictWait {  // switch-cache evict round trip (pre-commit)
-    bool acked = false;
-    std::shared_ptr<sim::OneShot<int>> slot;  // armed per attempt
+  // One in-flight SendUntilAcked loop: the insert-ack / overflow-fallback
+  // wait (§5.2.1 step 7) or a pre-commit switch-cache evict round trip.
+  // SettleAckWait records the first nonzero outcome and fires `slot`, which
+  // the loop re-arms per attempt.
+  struct AckWait {
+    explicit AckWait(sim::Simulator* sim) : slot(sim) {}
+    int outcome = 0;
+    sim::OneShot<int> slot;
   };
   // Moved tombstone (§5.2 rename race): installed by the source leg of a
   // directory rename in place of a bare dir-index removal. A push or
@@ -431,7 +431,23 @@ struct SFS_SUSPENSION_SHARED ServerVolatile {
   std::map<std::tuple<InodeId, uint32_t, psw::Fingerprint>, uint64_t> hwm;
   // Old-owner-side moved tombstones, keyed by the renamed directory's id.
   std::map<InodeId, MovedDir> moved_dirs;
-  std::unordered_map<uint64_t, std::shared_ptr<OpWait>> op_waits;
+  // In-flight SendUntilAcked loops. Key: an op_token_counter token (the
+  // InsertEnvelope's op_token or the evict's CacheHeader::token).
+  std::unordered_map<uint64_t, std::shared_ptr<AckWait>> ack_waits;
+  // Settles the loop waiting under `token` with `outcome` (nonzero; the
+  // first one sticks). False if no loop is waiting: a duplicate or late ack.
+  bool SettleAckWait(uint64_t token, int outcome) {
+    auto it = ack_waits.find(token);
+    if (it == ack_waits.end()) {
+      return false;
+    }
+    AckWait& w = *it->second;
+    if (w.outcome == 0) {
+      w.outcome = outcome;
+    }
+    w.slot.Set(outcome);
+    return true;
+  }
   // Rename participant state: txn id -> held locks.
   std::unordered_map<uint64_t, std::vector<LockTable::Handle>> txn_locks;
   // In-switch read cache bookkeeping (owner side). cached_fps: fingerprints
@@ -440,8 +456,6 @@ struct SFS_SUSPENSION_SHARED ServerVolatile {
   // forgets it, and recovery flushes the switch cache of everything this
   // owner could have installed (Cluster::RecoverServer).
   std::unordered_set<psw::Fingerprint> cached_fps;
-  std::unordered_map<uint64_t, std::shared_ptr<CacheEvictWait>>
-      cache_evict_waits;  // key: CacheHeader::token
   // Owner-side in-flight PushReq sections being applied (adaptive pacing
   // busy signal).
   int inflight_push_sections = 0;
@@ -683,6 +697,17 @@ sim::Task<std::optional<ServerVolatile::RemovedDir>> CommitOpRecord(
 // item pays wal_append, the rest wal_append_batched), one kv_put per item.
 sim::Task<void> CommitBulkRecord(const ServerContext& ctx, VolPtr v,
                                  BulkCommitRecord rec);
+
+// Token-acked retransmit loop: registers an AckWait under `token` (drawn
+// from v->op_token_counter and carried by `pkt`), then sends `pkt` up to
+// `max_attempts` times, `timeout` apart, until the wait is settled
+// (ServerVolatile::SettleAckWait). Returns the outcome, or 0 when the
+// budget ran out. Callers check v->dead first: a dead incarnation returns
+// at once, leaving its wait behind. The per-attempt timeout holds only a
+// weak reference and the token, so a finished loop frees its wait at once.
+sim::Task<int> SendUntilAcked(const ServerContext& ctx, VolPtr v,
+                              uint64_t token, net::Packet pkt,
+                              sim::SimTime timeout, int max_attempts);
 
 // Narrow interface the rename and hard-link modules use to publish a deferred
 // parent update through the configured tracker: marks the directory scattered

@@ -76,6 +76,10 @@ class Network {
   // Replaces the node behind an id (used by crash/recovery to swap a server
   // incarnation without invalidating addresses held by peers).
   void Rebind(NodeId id, Node* node);
+  // The node behind an id; null once unbound (Rebind(id, nullptr)).
+  Node* node(NodeId id) const {
+    return id < nodes_.size() ? nodes_[id] : nullptr;
+  }
 
   void SetSwitch(SwitchBehavior* behavior) { switch_ = behavior; }
   void SetFaults(const FaultConfig& cfg) { faults_ = cfg; }

@@ -6,10 +6,28 @@
 
 namespace switchfs::net {
 
+namespace {
+
+// An attempt's timeout names its endpoint by address and its call by id,
+// packed into one word so the event's closure stays two words wide and is
+// stored inline, without an allocation.
+constexpr int kTimeoutNodeBits = 24;
+
+}  // namespace
+
 RpcEndpoint::RpcEndpoint(sim::Simulator* sim, Network* net)
-    : sim_(sim), net_(net), id_(net->Register(this)) {}
+    : sim_(sim), net_(net), id_(net->Register(this)) {
+  assert(id_ < (NodeId{1} << kTimeoutNodeBits));
+}
+
+RpcEndpoint::~RpcEndpoint() { net_->Rebind(id_, nullptr); }
 
 void RpcEndpoint::ResetVolatileState() {
+  for (size_t i = 0; i < calls_.size(); ++i) {
+    if (calls_[i] != nullptr) {
+      abandoned_.emplace_back(calls_base_ + i, std::move(calls_[i]));
+    }
+  }
   calls_.clear();
   calls_base_ = next_call_id_;
   reply_windows_.clear();
@@ -23,7 +41,10 @@ size_t RpcEndpoint::cached_replies(NodeId caller) const {
 sim::Task<StatusOr<MsgPtr>> RpcEndpoint::Call(NodeId dst, MsgPtr request,
                                               CallOptions opts) {
   const uint64_t call_id = next_call_id_++;
-  calls_.emplace_back();
+  assert(call_id < (uint64_t{1} << (64 - kTimeoutNodeBits)));
+  calls_.push_back(std::make_unique<Slot>(sim_));
+  Slot* const slot = calls_.back().get();
+  const uint64_t timeout_key = (call_id << kTimeoutNodeBits) | id_;
   Packet p;
   p.src = id_;
   p.dst = dst;
@@ -38,16 +59,22 @@ sim::Task<StatusOr<MsgPtr>> RpcEndpoint::Call(NodeId dst, MsgPtr request,
       co_return UnavailableError("caller endpoint down");
     }
     if (call_id < calls_base_) {
+      FinishCall(call_id);
       co_return UnavailableError("caller endpoint reset");
     }
     if (attempt > 0) {
       retransmits_++;
+      *slot = Slot(sim_);
     }
-    auto slot = std::make_shared<sim::OneShot<MsgPtr>>(sim_);
-    calls_[call_id - calls_base_] = slot;
     p.rpc.done_below = calls_base_;
     Send(p);
-    sim_->ScheduleAfter(opts.timeout, [slot] { slot->Set(nullptr); });
+    sim_->ScheduleAfter(opts.timeout, [net = net_, timeout_key] {
+      if (auto* self = dynamic_cast<RpcEndpoint*>(
+              net->node(static_cast<NodeId>(
+                  timeout_key & ((uint64_t{1} << kTimeoutNodeBits) - 1))))) {
+        self->ExpireAttempt(timeout_key >> kTimeoutNodeBits);
+      }
+    });
     MsgPtr resp = co_await slot->Wait();
     if (resp != nullptr) {
       FinishCall(call_id);
@@ -59,13 +86,33 @@ sim::Task<StatusOr<MsgPtr>> RpcEndpoint::Call(NodeId dst, MsgPtr request,
 }
 
 void RpcEndpoint::FinishCall(uint64_t call_id) {
-  if (call_id < calls_base_) {
-    return;  // abandoned by ResetVolatileState
+  if (call_id < calls_base_) {  // abandoned by ResetVolatileState
+    std::erase_if(abandoned_,
+                  [call_id](const auto& a) { return a.first == call_id; });
+    return;
   }
   calls_[call_id - calls_base_] = nullptr;
   while (!calls_.empty() && calls_.front() == nullptr) {
     calls_.pop_front();
     calls_base_++;
+  }
+}
+
+void RpcEndpoint::ExpireAttempt(uint64_t call_id) {
+  Slot* slot = nullptr;
+  if (call_id >= calls_base_) {
+    if (call_id < next_call_id_) {
+      slot = calls_[call_id - calls_base_].get();
+    }
+  } else {
+    for (const auto& [id, abandoned] : abandoned_) {
+      if (id == call_id) {
+        slot = abandoned.get();
+      }
+    }
+  }
+  if (slot != nullptr) {
+    slot->Set(nullptr);
   }
 }
 
@@ -175,8 +222,9 @@ void RpcEndpoint::DispatchRequest(Packet p) {
     // Response to one of our outstanding calls?
     if (p.rpc.caller == id_ && p.rpc.call_id >= calls_base_ &&
         p.rpc.call_id < next_call_id_) {
-      const Slot& slot = calls_[p.rpc.call_id - calls_base_];
-      if (slot != nullptr) {
+      // A null body would read as a timeout; only ExpireAttempt sends one.
+      const std::unique_ptr<Slot>& slot = calls_[p.rpc.call_id - calls_base_];
+      if (slot != nullptr && p.body != nullptr) {
         slot->Set(std::move(p.body));
         return;
       }

@@ -25,6 +25,13 @@
 // each callee it reaches. A callee's ResetVolatileState drops every window;
 // a retransmit that arrives afterwards is executed again, as after any
 // crash that wipes DRAM.
+//
+// Attempt timeouts. Each attempt schedules one timeout event that names the
+// endpoint by its network address and the call by its id; it holds no
+// reference to the call's state. A call frees its slot when it finishes,
+// and a timeout that fires later finds nothing to wake. An endpoint
+// unbinds its address when destroyed, so a later timeout finds no endpoint
+// and its network must outlive it.
 #ifndef SRC_NET_RPC_H_
 #define SRC_NET_RPC_H_
 
@@ -34,6 +41,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -65,7 +73,9 @@ class RpcEndpoint : public Node {
   using RawHandler = std::function<void(Packet)>;
 
   RpcEndpoint(sim::Simulator* sim, Network* net);
-  ~RpcEndpoint() override = default;
+  ~RpcEndpoint() override;
+  RpcEndpoint(const RpcEndpoint&) = delete;
+  RpcEndpoint& operator=(const RpcEndpoint&) = delete;
 
   NodeId id() const { return id_; }
   sim::Simulator* simulator() const { return sim_; }
@@ -114,7 +124,7 @@ class RpcEndpoint : public Node {
   size_t cached_replies(NodeId caller) const;
 
  private:
-  using Slot = std::shared_ptr<sim::OneShot<MsgPtr>>;
+  using Slot = sim::OneShot<MsgPtr>;
   // One callee-side cache entry; `response` is null while the handler runs.
   struct CachedReply {
     uint64_t call_id;
@@ -135,9 +145,12 @@ class RpcEndpoint : public Node {
 
   void DispatchRequest(Packet p);
   void CacheResponse(const Packet& request, MsgPtr resp);
-  // Marks `call_id` finished and advances the call window past every
-  // finished call at its front.
+  // Marks `call_id` finished, frees its slot, and advances the call window
+  // past every finished call at its front.
   void FinishCall(uint64_t call_id);
+  // The current attempt of `call_id` timed out: wakes its caller with a
+  // null response, unless the call already finished.
+  void ExpireAttempt(uint64_t call_id);
   sim::Task<void> ChargedDeliver(Packet p);
 
   sim::Simulator* sim_;
@@ -149,13 +162,16 @@ class RpcEndpoint : public Node {
   RequestHandler request_handler_;
   RawHandler raw_handler_;
 
-  // Caller-side call window: calls_[i] is the current attempt's slot of call
-  // `calls_base_ + i`, null once that call finished. Finished calls are
+  // Caller-side call window: calls_[i] is the slot of call `calls_base_ + i`
+  // (re-armed per attempt), null once that call finished. Finished calls are
   // popped from the front, so calls_base_ is the lowest outstanding call id
   // (next_call_id_ when none is) and is what requests carry as done_below.
   uint64_t next_call_id_ = 1;
   uint64_t calls_base_ = 1;
-  std::deque<Slot> calls_;
+  std::deque<std::unique_ptr<Slot>> calls_;
+  // Slots of calls ResetVolatileState abandoned, kept until each call's
+  // coroutine wakes (at its timeout) and returns kUnavailable.
+  std::vector<std::pair<uint64_t, std::unique_ptr<Slot>>> abandoned_;
 
   static constexpr size_t kMaxRepliesPerCaller = 1 << 16;
   std::unordered_map<NodeId, ReplyWindow> reply_windows_;

@@ -15,8 +15,6 @@ sim::Task<InsertResult> SwitchTracker::Insert(core::ServerContext& ctx,
                                               net::MsgPtr client_resp) {
   core::ChangeLog& clog = v->GetChangeLog(fp, dir);
   const uint64_t token = v->op_token_counter++;
-  auto wait = std::make_shared<core::ServerVolatile::OpWait>();
-  v->op_waits[token] = wait;
 
   // The envelope rides the insert packet: on success the switch forwards it
   // to the client (7a) and mirrors it back to us as the release signal (7b);
@@ -43,34 +41,18 @@ sim::Task<InsertResult> SwitchTracker::Insert(core::ServerContext& ctx,
   ins.ds.notify = ins.dst;
   ins.ds.alt_dst = ctx.cluster->ServerNode(ctx.OwnerOf(fp));
 
-  int result = 0;
-  for (int attempt = 0; attempt < ctx.config->insert_max_attempts; ++attempt) {
-    if (wait->acked) {
-      result = 1;
-      break;
-    }
-    if (wait->fallback_done) {
-      result = 2;
-      break;
-    }
-    wait->slot = std::make_shared<sim::OneShot<int>>(ctx.sim);
-    ctx.rpc->Send(ins);
-    auto slot = wait->slot;
-    ctx.sim->ScheduleAfter(ctx.config->insert_ack_timeout,
-                           [slot] { slot->Set(0); });
-    result = co_await slot->Wait();
-    if (v->dead) co_return InsertResult::kDelivered;
-    if (result != 0) {
-      break;
-    }
-  }
+  // Settled by the insert-ack mirror (1) or the overflow fallback's
+  // FallbackDone (2).
+  const int result = co_await core::SendUntilAcked(
+      ctx, v, token, std::move(ins), ctx.config->insert_ack_timeout,
+      ctx.config->insert_max_attempts);
+  if (v->dead) co_return InsertResult::kDelivered;
   if (result == 0) {
     // Retry budget exhausted without an ack: the entry stays in the
     // change-log and the push path repairs dirty-set visibility; retransmits
     // are served from the dedup cache below.
     ctx.stats->insert_exhausted++;
   }
-  v->op_waits.erase(token);
   if (client_req != nullptr) {
     // From here on, client retransmits are served from the dedup cache. A
     // replay needs only the client's reply; caching the envelope would pin

@@ -373,6 +373,41 @@ TEST_P(ApiV2Suite, BulkInsertReturnsPerNameVerdicts) {
   EXPECT_EQ(got, (std::set<std::string>{"a", "b", "c", "dup"}));
 }
 
+// BulkInsert routes each name to the server that holds its inode, so a name
+// bulk-inserted into the root is where Stat and the servers' rename legs
+// look for it (CephFS-sim keys a root entry's subtree by the entry's own
+// name).
+TEST_P(ApiV2Suite, BulkInsertIntoTheRootIsVisibleToStatAndRename) {
+  V2Harness fs(MakeSystem(GetParam(), sim::Milliseconds(20)));
+  const std::vector<std::string> names = {"r0", "r1", "r2", "r3"};
+  std::vector<Status> verdicts;
+  Status lifecycle = InternalError("not run");
+  fs.Run([](MetadataService* c, std::vector<std::string> names,
+            std::vector<Status>* verdicts, Status* out) -> sim::Task<void> {
+    auto handle = co_await c->OpenDir("/");
+    if (!handle.ok()) {
+      *out = handle.status();
+      co_return;
+    }
+    *verdicts = co_await c->BulkInsert(*handle, names);
+    *out = co_await c->CloseDir(*handle);
+  }(fs.client.get(), names, &verdicts, &lifecycle));
+  ASSERT_TRUE(lifecycle.ok()) << lifecycle.ToString();
+  ASSERT_EQ(verdicts.size(), names.size());
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_TRUE(verdicts[i].ok()) << names[i] << ": " << verdicts[i].ToString();
+    auto st = fs.Stat("/" + names[i]);
+    EXPECT_TRUE(st.ok()) << names[i] << ": " << st.status().ToString();
+    Status renamed = InternalError("not run");
+    fs.Run([](MetadataService* c, std::string from, Status* out)
+               -> sim::Task<void> {
+      *out = co_await c->Rename(from, from + "_moved");
+    }(fs.client.get(), "/" + names[i], &renamed));
+    EXPECT_TRUE(renamed.ok()) << names[i] << ": " << renamed.ToString();
+    EXPECT_TRUE(fs.Stat("/" + names[i] + "_moved").ok()) << names[i];
+  }
+}
+
 TEST_P(ApiV2Suite, SetAttrCommitsModeAndTimes) {
   V2Harness fs(MakeSystem(GetParam(), sim::Milliseconds(20)));
   ASSERT_TRUE(fs.Mkdir("/d").ok());
@@ -408,6 +443,60 @@ TEST_P(ApiV2Suite, SetAttrCommitsModeAndTimes) {
   EXPECT_EQ(st->mtime, times.mtime);
 
   EXPECT_EQ(fs.SetAttr("/d/none", delta).code(), StatusCode::kNotFound);
+}
+
+// The shared client's stale-cache retry on a file target and on a directory
+// target: two clients cache the path of /t/a's subtree, a third renames /t/a
+// to /t/c, and each cached path bounces off the servers' invalidation lists
+// (kStaleCache drops the cache entries) before it settles on kNotFound. The
+// tree sits one level down because CephFS-sim keys a subtree by its
+// top-level name and does not move it on a top-level rename.
+TEST_P(ApiV2Suite, StaleCacheAfterRenameBouncesThenSettlesOnNotFound) {
+  V2Harness fs(MakeSystem(GetParam(), sim::Milliseconds(20)));
+  ASSERT_TRUE(fs.Mkdir("/t").ok());
+  ASSERT_TRUE(fs.Mkdir("/t/a").ok());
+  ASSERT_TRUE(fs.Mkdir("/t/a/b").ok());
+  ASSERT_TRUE(fs.Create("/t/a/b/f").ok());
+  auto before = fs.Stat("/t/a/b/f");
+  ASSERT_TRUE(before.ok());
+  auto* file_reader = static_cast<FsClient*>(fs.client.get());
+  std::unique_ptr<MetadataService> dir_client = fs.world->NewClient(false);
+  auto* dir_reader = static_cast<FsClient*>(dir_client.get());
+  std::unique_ptr<MetadataService> renamer = fs.world->NewClient(false);
+
+  Status dir_cached = InternalError("not run");
+  Status renamed = InternalError("not run");
+  fs.Run([](MetadataService* d, MetadataService* r, Status* cached,
+            Status* moved) -> sim::Task<void> {
+    auto st = co_await d->StatDir("/t/a/b");
+    *cached = st.ok() ? OkStatus() : st.status();
+    *moved = co_await r->Rename("/t/a", "/t/c");
+  }(dir_client.get(), renamer.get(), &dir_cached, &renamed));
+  ASSERT_TRUE(dir_cached.ok()) << dir_cached.ToString();
+  ASSERT_TRUE(renamed.ok()) << renamed.ToString();
+  // A directory target is addressed through its parent (SwitchFS) or
+  // itself (the baselines); either way /t/a is cached.
+  ASSERT_NE(file_reader->cache().Get("/t/a/b"), nullptr);
+  ASSERT_NE(dir_reader->cache().Get("/t/a"), nullptr);
+
+  StatusOr<Attr> file = InternalError("not run");
+  StatusOr<Attr> dir = InternalError("not run");
+  fs.Run([](MetadataService* f, MetadataService* d, StatusOr<Attr>* file,
+            StatusOr<Attr>* dir) -> sim::Task<void> {
+    *file = co_await f->Stat("/t/a/b/f");
+    *dir = co_await d->StatDir("/t/a/b");
+  }(fs.client.get(), dir_client.get(), &file, &dir));
+  EXPECT_EQ(file.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(dir.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(file_reader->cache().Get("/t/a/b"), nullptr);
+  EXPECT_EQ(file_reader->cache().Get("/t/a"), nullptr);
+  EXPECT_EQ(dir_reader->cache().Get("/t/a/b"), nullptr);
+  EXPECT_EQ(dir_reader->cache().Get("/t/a"), nullptr);
+  EXPECT_NE(file_reader->cache().Get("/t"), nullptr);  // not under /t/a
+
+  auto moved = fs.Stat("/t/c/b/f");
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  EXPECT_EQ(moved->id, before->id);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFiveSystems, ApiV2Suite,

@@ -220,8 +220,8 @@ TEST_P(BaselineSuite, WarmClientsShareOneSnapshotUntilTheNextPreload) {
   fs.cluster->PreloadDir("/a/b");
   auto warm = [&] {
     auto c = fs.cluster->NewClient(true);
-    return std::unique_ptr<BaselineClient>(
-        static_cast<BaselineClient*>(c.release()));
+    return std::unique_ptr<core::FsClient>(
+        static_cast<core::FsClient*>(c.release()));
   };
   auto first = warm();
   auto second = warm();

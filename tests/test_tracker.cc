@@ -118,7 +118,7 @@ TEST(SwitchTrackerTest, InsertAckRetryExhaustionIsCountedAndCleanedUp) {
   const InsertResult r = h.RunInsert(tracker, /*fp=*/1234);
   EXPECT_EQ(r, InsertResult::kDelivered);
   EXPECT_EQ(h.stats.insert_exhausted, 1u);
-  EXPECT_TRUE(h.vol->op_waits.empty());
+  EXPECT_TRUE(h.vol->ack_waits.empty());
 }
 
 // Records every packet delivered to it: a client stand-in that can re-send a
