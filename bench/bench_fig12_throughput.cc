@@ -7,17 +7,26 @@
 // reports IndexFS "consistently crashes with errors" there) and from rmdir
 // (its rmdir implementation is incomplete, §7.2.1).
 //
-// In pattern (b) the SwitchFS rmdir row does not grow with the server count,
-// unlike every other SwitchFS row. That follows from the protocol: every
-// SwitchFS rmdir runs a full aggregation round with invalidation
-// (HandleRmdir, Fig 6 steps 4-7), 1.05-1.17 rounds per rmdir, and each round
-// collects at every server, so adding servers adds work to each rmdir. At
-// SFS_BENCH_SCALE=0.1 (2,000 ops) the row reads 469 / 476 / 860 / 837 Kops/s
-// at 4 / 8 / 12 / 16 servers, and 10-19 aggregation retries dominate the
-// short measured window. At full scale (20,000 ops) it reads
-// 663 / 780 / 881 / 866 Kops/s, with 23-69 aggregation retries and 138-446
-// push failures in a fault-free run: pushes that outlive the fixed RPC
-// timeout budget at a busy owner.
+// In pattern (a) the SwitchFS create row reads 780 / 1056 / 1224 / 1473
+// Kops/s at 4 / 8 / 12 / 16 servers at full scale, 13.1x Emulated-InfiniFS
+// (112 Kops/s) at 16 servers; the paper reports up to 13.34x. Creates into
+// the one directory share its change-log group lock (docs/architecture.md,
+// "Change-log lock compatibility"); on the directory's owner they queue on
+// the per-log append mutex, which bounds the row.
+//
+// In pattern (b) the SwitchFS rmdir row does not grow with the server count
+// past 12 servers, unlike every other SwitchFS row. That follows from the
+// protocol: every SwitchFS rmdir runs a full aggregation round with
+// invalidation (HandleRmdir, Fig 6 steps 4-7), 1.05-1.17 rounds per rmdir,
+// and each round collects at every server, so adding servers adds work to
+// each rmdir. At SFS_BENCH_SCALE=0.1 (2,000 ops) the row reads
+// 469 / 496 / 854 / 837 Kops/s at 4 / 8 / 12 / 16 servers, and aggregation
+// retries dominate the short measured window. At full scale (20,000 ops) it
+// reads 677 / 830 / 820 / 833 Kops/s. Aggregation retries and fault-free
+// push failures (pushes that outlive the fixed RPC timeout budget at a busy
+// owner) make a single point move with the cluster seed: over eight seeds
+// the full-scale medians are 675 / 820 / 879 / 873 Kops/s, and one seed's
+// point lies up to 7% from them.
 #include <memory>
 #include <string>
 #include <vector>

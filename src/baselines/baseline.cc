@@ -56,7 +56,9 @@ uint32_t BaselinePlacement::FileServer(const InodeId& pid,
     case SystemKind::kECfs:
       return ring_->Owner(core::FingerprintOf(pid, name));
     case SystemKind::kCephFS:
-      return ring_->Owner(psw::FingerprintFromHash(HashString(top)));
+      // A top-level entry's `top` is its own name.
+      return ring_->Owner(psw::FingerprintFromHash(
+          HashString(pid == RootId() ? top : SubtreeKey(top))));
   }
   return 0;
 }
@@ -64,9 +66,27 @@ uint32_t BaselinePlacement::FileServer(const InodeId& pid,
 uint32_t BaselinePlacement::DirServer(const InodeId& dir_id,
                                       const std::string& top) const {
   if (kind_ == SystemKind::kCephFS) {
-    return ring_->Owner(psw::FingerprintFromHash(HashString(top)));
+    return ring_->Owner(psw::FingerprintFromHash(HashString(SubtreeKey(top))));
   }
   return ring_->Owner(psw::FingerprintFromHash(dir_id.Hash64()));
+}
+
+const std::string& BaselinePlacement::SubtreeKey(const std::string& top) const {
+  auto it = top_alias_.find(top);
+  return it == top_alias_.end() ? top : it->second;
+}
+
+void BaselinePlacement::MoveSubtree(const std::string& from_top,
+                                    const std::string& to) {
+  if (kind_ != SystemKind::kCephFS) {
+    return;
+  }
+  const std::string placed = SubtreeKey(from_top);
+  if (placed == to) {
+    top_alias_.erase(to);
+  } else {
+    top_alias_[to] = placed;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -866,9 +886,6 @@ sim::Task<void> BaselineServer::HandleRename(net::Packet p) {
   const auto* req = static_cast<const MetaReq*>(p.body.get());
   const PathRef& src = req->ref;
   const PathRef& dst = req->ref2;
-  const std::string src_top =
-      src.ancestors.size() <= 1 ? src.name : std::string();
-  (void)src_top;
 
   const std::string skey = InodeKey(src.pid, src.name);
   const std::string dkey = InodeKey(dst.pid, dst.name);
@@ -955,6 +972,13 @@ sim::Task<void> BaselineServer::HandleRename(net::Packet p) {
     co_return;
   }
 
+  // CephFS-sim moves no inodes: from the commit on, a directory renamed to
+  // the top level keeps its subtree where it was placed. (One moved below
+  // the top level is not followed: its descendants route by the new
+  // top-level name.)
+  if (src_attr.is_dir() && dst.pid == RootId()) {
+    cluster_->placement().MoveSubtree(req->top, dst.name);
+  }
   for (int i = 0; i < 2; ++i) {
     auto commit = std::make_shared<RenameCommit>();
     commit->txn_id = txn;

@@ -101,9 +101,20 @@ class BaselinePlacement {
   // Server holding directory content (attrs + entry list).
   uint32_t DirServer(const core::InodeId& dir_id, const std::string& top) const;
 
+  // CephFS: a directory renamed to the top-level name `to` keeps its
+  // subtree where it was placed, under `from_top` (the source path's
+  // top-level component): `to` becomes an alias of the name `from_top`
+  // resolves to. Top-level entries themselves, and names never renamed to,
+  // route by their own name.
+  void MoveSubtree(const std::string& from_top, const std::string& to);
+
  private:
+  // The name a CephFS subtree keyed `top` was placed under.
+  const std::string& SubtreeKey(const std::string& top) const;
+
   SystemKind kind_;
   const core::HashRing* ring_;
+  std::unordered_map<std::string, std::string> top_alias_;
 };
 
 // --- baseline-specific messages (type tags 200+) ---
@@ -244,6 +255,7 @@ class BaselineCluster : public core::FsWorld, public core::ClientPlacement {
   const BaselineConfig& config() const { return config_; }
   const core::HashRing& ring() const { return ring_; }
   const BaselinePlacement& placement() const { return *placement_; }
+  BaselinePlacement& placement() { return *placement_; }
 
   // core::ClientPlacement:
   net::NodeId ServerNode(uint32_t i) const override {

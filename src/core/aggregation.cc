@@ -71,8 +71,8 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
   }
 
   // Local snapshot: our own change-logs belong to the collection too. The
-  // shared locks, taken in fingerprint order, serialize against in-flight
-  // double-inode ops (Fig 20).
+  // collector-share locks, taken in fingerprint order, wait for in-flight
+  // double-inode ops (appenders) to finish (Fig 20).
   {
     std::vector<LockTable::Handle> local_locks;
     for (psw::Fingerprint fp : fps) {
@@ -80,7 +80,8 @@ sim::Task<Aggregation::Outcome> Aggregation::RunAggregation(
         continue;
       }
       LockTable::Handle lock =
-          co_await v->ShardFor(fp).changelog_locks.AcquireShared(FpKey(fp));
+          co_await v->ShardFor(fp).changelog_locks.AcquireShared(
+              FpKey(fp), kClCollectors);
       if (v->dead) co_return outcome;
       local_locks.push_back(std::move(lock));
     }
@@ -509,9 +510,13 @@ sim::Task<void> Aggregation::HandleAggCollect(net::Packet p, VolPtr v) {
     v->inval.Add(msg->invalidate_id, ctx_.Now());
   }
 
-  // One session per group, its shared lock taken in fingerprint order (the
-  // set is ascending). A group whose session is still open from an earlier
-  // attempt keeps it and only adopts the newer seq.
+  // One session per group, its collector-share lock taken in fingerprint
+  // order (the set is ascending). A session is registered before its lock
+  // is granted, so a group whose session exists — open, or still waiting
+  // for its lock — keeps it and only adopts the newer seq. A retried collect
+  // must not queue for the lock itself: behind an appender that queued after
+  // the first attempt, it would be granted only once AggDone had closed the
+  // session, reopen it, and hold the lock until the watchdog reaped it.
   std::vector<std::pair<psw::Fingerprint, uint64_t>> opened;
   for (psw::Fingerprint fp : msg->fps) {
     auto it = v->ShardFor(fp).agg_sessions.find(fp);
@@ -519,30 +524,39 @@ sim::Task<void> Aggregation::HandleAggCollect(net::Packet p, VolPtr v) {
       it->second.seq = std::max(it->second.seq, msg->agg_seq);
       continue;
     }
-    auto lock =
-        co_await v->ShardFor(fp).changelog_locks.AcquireShared(FpKey(fp));
-    if (v->dead) co_return;
-    // Re-check: a concurrent collect may have created the session while we
-    // waited for the lock; keep the first session's lock and drop ours.
-    it = v->ShardFor(fp).agg_sessions.find(fp);
-    if (it != v->ShardFor(fp).agg_sessions.end()) {
-      it->second.seq = std::max(it->second.seq, msg->agg_seq);
-      continue;
-    }
     ServerVolatile::AggSession session;
     session.seq = msg->agg_seq;
-    session.lock = std::move(lock);
-    session.started_at = ctx_.Now();
+    session.id = ++v->ShardFor(fp).agg_session_ids;
+    const uint64_t id = session.id;
     v->ShardFor(fp).agg_sessions.emplace(fp, std::move(session));
-    opened.emplace_back(fp, msg->agg_seq);
+    auto lock = co_await v->ShardFor(fp).changelog_locks.AcquireShared(
+        FpKey(fp), kClCollectors);
+    if (v->dead) co_return;
+    it = v->ShardFor(fp).agg_sessions.find(fp);
+    if (it == v->ShardFor(fp).agg_sessions.end() || it->second.id != id) {
+      continue;  // closed (AggDone, watchdog) while we waited; drop the lock
+    }
+    it->second.lock = std::move(lock);
+    opened.emplace_back(fp, it->second.seq);
   }
   if (!opened.empty()) {
     sim::Spawn(ResponderSessionWatchdog(v, std::move(opened)));
   }
 
+  // Reply once every group's session is open, with the newest seq adopted:
+  // a handler that joined a session still waiting for its lock leaves the
+  // reply to the handler that opens it.
+  uint64_t seq = 0;
+  for (psw::Fingerprint fp : msg->fps) {
+    auto it = v->ShardFor(fp).agg_sessions.find(fp);
+    if (it == v->ShardFor(fp).agg_sessions.end() || !it->second.lock.held()) {
+      co_return;
+    }
+    seq = std::max(seq, it->second.seq);
+  }
   auto reply = std::make_shared<AggEntries>();
   reply->fp = msg->fps.front();
-  reply->agg_seq = msg->agg_seq;
+  reply->agg_seq = seq;
   reply->src_server = ctx_.config->index;
   for (psw::Fingerprint fp : msg->fps) {
     AppendPendingLogs(*v, fp, &reply->dirs);
@@ -628,7 +642,8 @@ sim::Task<void> Aggregation::ResponderSessionWatchdog(
   while (!sessions.empty()) {
     co_await sim::Delay(ctx_.sim, ctx_.config->responder_session_timeout);
     if (v->dead) co_return;
-    std::erase_if(sessions, [&v](std::pair<psw::Fingerprint, uint64_t>& s) {
+    std::erase_if(sessions, [this, &v](
+                                std::pair<psw::Fingerprint, uint64_t>& s) {
       auto it = v->ShardFor(s.first).agg_sessions.find(s.first);
       if (it == v->ShardFor(s.first).agg_sessions.end()) {
         return true;  // finished normally
@@ -641,6 +656,7 @@ sim::Task<void> Aggregation::ResponderSessionWatchdog(
       // Pending entries stay; recovery or the next aggregation re-collects
       // them.
       v->ShardFor(s.first).agg_sessions.erase(it);
+      ctx_.stats->agg_sessions_reaped++;
       return true;
     });
   }

@@ -33,7 +33,7 @@ uint64_t ChangeLog::Append(ChangeLogEntry entry) {
 }
 
 void ChangeLog::Restore(ChangeLogEntry entry) {
-  assert(entries_.empty() || entries_.back().seq < entry.seq);
+  assert(empty() || entries_.back().seq < entry.seq);
   max_timestamp_ = std::max(max_timestamp_, entry.timestamp);
   next_seq_ = std::max(next_seq_, entry.seq + 1);
   entries_.push_back(std::move(entry));
@@ -41,28 +41,41 @@ void ChangeLog::Restore(ChangeLogEntry entry) {
 
 std::vector<uint64_t> ChangeLog::AckUpTo(uint64_t acked_seq) {
   std::vector<uint64_t> lsns;
-  while (!entries_.empty() && entries_.front().seq <= acked_seq) {
-    if (entries_.front().wal_lsn != 0) {
-      lsns.push_back(entries_.front().wal_lsn);
+  for (; !empty() && entries_[head_].seq <= acked_seq; ++head_) {
+    if (entries_[head_].wal_lsn != 0) {
+      lsns.push_back(entries_[head_].wal_lsn);
     }
-    entries_.pop_front();
   }
+  Compact();
   return lsns;
 }
 
 size_t ChangeLog::DrainInto(ChangeLog& target) {
   assert(&target != this);  // self-drain would append forever
-  const size_t moved = entries_.size();
-  while (!entries_.empty()) {
-    target.Append(std::move(entries_.front()));  // re-assigns the seq
-    entries_.pop_front();
+  const size_t moved = size();
+  for (; head_ < entries_.size(); ++head_) {
+    target.Append(std::move(entries_[head_]));  // re-assigns the seq
   }
+  Compact();
   return moved;
+}
+
+void ChangeLog::Compact() {
+  if (empty()) {
+    entries_ = std::vector<ChangeLogEntry>();  // frees the storage
+    head_ = 0;
+  } else if (head_ * 2 >= entries_.size()) {
+    // Moves at most as many entries as were acknowledged since the last
+    // compaction: amortized O(1) per entry.
+    entries_.erase(entries_.begin(),
+                   entries_.begin() + static_cast<ptrdiff_t>(head_));
+    head_ = 0;
+  }
 }
 
 int64_t ChangeLog::pending_size_delta() const {
   int64_t total = 0;
-  for (const ChangeLogEntry& e : entries_) {
+  for (const ChangeLogEntry& e : pending()) {
     total += e.size_delta;
   }
   return total;

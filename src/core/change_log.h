@@ -12,8 +12,8 @@
 #define SRC_CORE_CHANGE_LOG_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,10 +49,13 @@ class ChangeLog {
   // Re-inserts a recovered entry with its original seq (WAL replay).
   void Restore(ChangeLogEntry entry);
 
-  // All entries not yet acknowledged by the owner, in FIFO order.
-  const std::deque<ChangeLogEntry>& pending() const { return entries_; }
-  bool empty() const { return entries_.empty(); }
-  size_t size() const { return entries_.size(); }
+  // All entries not yet acknowledged by the owner, in FIFO order. The span
+  // is invalidated by the next append or acknowledgement.
+  std::span<const ChangeLogEntry> pending() const {
+    return std::span<const ChangeLogEntry>(entries_).subspan(head_);
+  }
+  bool empty() const { return head_ == entries_.size(); }
+  size_t size() const { return entries_.size() - head_; }
 
   // Drops entries with seq <= acked_seq; returns the WAL lsns of the dropped
   // entries so the caller can mark them "applied" (§5.2.2 step 9b).
@@ -81,7 +84,15 @@ class ChangeLog {
   psw::Fingerprint fp_ = 0;
   uint64_t next_seq_ = 1;
   int64_t max_timestamp_ = 0;
-  std::deque<ChangeLogEntry> entries_;
+  // Pending entries are entries_[head_..]. Acknowledged ones are dropped in
+  // bulk once they are at least half the vector, and its storage is freed
+  // when the log empties, so an idle log holds no heap memory (a server
+  // keeps one log per directory it has ever appended to).
+  std::vector<ChangeLogEntry> entries_;
+  size_t head_ = 0;
+
+  // Drops the acknowledged prefix below head_ when that is cheap enough.
+  void Compact();
 };
 
 }  // namespace switchfs::core

@@ -170,8 +170,8 @@ sim::Task<void> LinkManager::HandleLink(net::Packet p, VolPtr v) {
   const std::string ikey = InodeKey(dst.pid, dst.name);
   const psw::Fingerprint pfp = dst.parent_fp;
 
-  auto cl_lock =
-      co_await v->ShardFor(pfp).changelog_locks.AcquireExclusive(FpKey(pfp));
+  auto cl_lock = co_await v->ShardFor(pfp).changelog_locks.AcquireShared(
+      FpKey(pfp), kClAppenders);
   if (v->dead) co_return;
   auto ino_lock =
       co_await v->ShardForKey(ikey).inode_locks.AcquireExclusive(ikey);

@@ -4,9 +4,11 @@
 // table's footprint tracks the working set rather than the filesystem size.
 //
 // Each table carries a sim::LockClass describing its role in the server's
-// lock order; in SFS_DISCIPLINE_CHECKS builds every grant is registered with
-// the DisciplineChecker under the acquiring coroutine chain, which enforces
-// the append-innermost and evict-requires-lock rules at runtime.
+// lock order; in SFS_DISCIPLINE_CHECKS builds every acquire and grant is
+// registered with the DisciplineChecker under the acquiring coroutine chain,
+// with its mode (exclusive, or shared in a sim::ShareClass), which enforces
+// the append-innermost, evict-requires-lock, cross-shard-lock and
+// reentrant-lock rules at runtime.
 #ifndef SRC_CORE_LOCK_TABLE_H_
 #define SRC_CORE_LOCK_TABLE_H_
 
@@ -87,16 +89,22 @@ class SFS_LOCKABLE LockTable {
   // awaiting frame itself — no coroutine frame, no queue allocation.
   class [[nodiscard]] Acquirer {
    public:
-    Acquirer(LockTable* table, std::string key, bool exclusive)
-        : table_(table), key_(std::move(key)), exclusive_(exclusive) {}
+    Acquirer(LockTable* table, std::string key, bool exclusive,
+             sim::ShareClass share_class)
+        : table_(table),
+          key_(std::move(key)),
+          exclusive_(exclusive),
+          share_class_(share_class) {}
 
     bool await_ready() {
 #if SFS_DISCIPLINE_CHECKS
       // The awaiting coroutine's await_transform has just published its
       // chain; read it before any suspension can intervene.
       chain_ = sim::discipline::CurrentChain();
+      sim::DisciplineChecker::OnAcquiring(chain_, table_->class_, key_,
+                                          table_->shard_);
 #endif
-      acquirer_.emplace(&table_->Ref(key_).mu, exclusive_);
+      acquirer_.emplace(&table_->Ref(key_).mu, exclusive_, share_class_);
       return acquirer_->await_ready();
     }
     void await_suspend(std::coroutine_handle<> h) {
@@ -107,7 +115,8 @@ class SFS_LOCKABLE LockTable {
       uint64_t hold_id = 0;
 #if SFS_DISCIPLINE_CHECKS
       hold_id = sim::DisciplineChecker::OnAcquired(
-          chain_, table_->class_, exclusive_, key_, table_->shard_);
+          chain_, table_->class_, exclusive_, key_, table_->shard_,
+          share_class_);
 #endif
       return Handle(table_, std::move(key_), std::move(guard), hold_id);
     }
@@ -116,17 +125,20 @@ class SFS_LOCKABLE LockTable {
     LockTable* table_;
     std::string key_;
     bool exclusive_;
+    sim::ShareClass share_class_;
     std::optional<sim::SharedMutex::Acquirer> acquirer_;
 #if SFS_DISCIPLINE_CHECKS
     uint64_t chain_ = 0;
 #endif
   };
 
-  Acquirer AcquireShared(std::string key) {
-    return Acquirer(this, std::move(key), /*exclusive=*/false);
+  // Shared holders of one share class are compatible; two classes exclude
+  // each other (sim::SharedMutex).
+  Acquirer AcquireShared(std::string key, sim::ShareClass share_class = 0) {
+    return Acquirer(this, std::move(key), /*exclusive=*/false, share_class);
   }
   Acquirer AcquireExclusive(std::string key) {
-    return Acquirer(this, std::move(key), /*exclusive=*/true);
+    return Acquirer(this, std::move(key), /*exclusive=*/true, 0);
   }
 
   size_t slot_count() const { return slots_.size(); }

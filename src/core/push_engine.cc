@@ -183,8 +183,8 @@ sim::Task<void> PushEngine::DrainOwnerImpl(VolPtr v, size_t shard,
     size_t i = 0;
     while (i < want.size() && budget > 0) {
       const psw::Fingerprint fp = want[i].first;
-      auto lock =
-          co_await v->ShardAt(shard).changelog_locks.AcquireShared(FpKey(fp));
+      auto lock = co_await v->ShardAt(shard).changelog_locks.AcquireShared(
+          FpKey(fp), kClAppenders);
       if (v->dead) co_return;
       for (; i < want.size() && want[i].first == fp && budget > 0; ++i) {
         st.ready.erase(want[i]);
@@ -308,8 +308,10 @@ sim::Task<void> PushEngine::DrainOwnerImpl(VolPtr v, size_t shard,
         continue;
       }
       const uint64_t acked_seq = row == nullptr ? 0 : row->acked_seq;
-      auto lock = co_await v->ShardAt(shard).changelog_locks.AcquireExclusive(
-          FpKey(pd.fp));
+      // Appender share: the trim drops an acknowledged prefix from the
+      // front, and appenders only add at the back under the append mutex.
+      auto lock = co_await v->ShardAt(shard).changelog_locks.AcquireShared(
+          FpKey(pd.fp), kClAppenders);
       if (v->dead) co_return;
       auto logs = v->ShardAt(shard).changelogs.find(pd.fp);
       if (logs == v->ShardAt(shard).changelogs.end()) {

@@ -322,13 +322,16 @@ sim::Task<void> SwitchServer::HandleUpsert(net::Packet p, VolPtr v) {
   const std::string ikey = InodeKey(ref.pid, ref.name);
   const psw::Fingerprint pfp = ref.parent_fp;
 
-  // Step 2: locking — parent change-log (write) + target inode (write).
-  // Both route to the target's shard: the inode key's fingerprint is
-  // exactly pfp's group only for the parent's own row; here the target key
-  // hashes to its own group, which the ring maps to this server and the
+  // Step 2: locking — parent change-log (appender share) + target inode
+  // (write). Appenders into one group share the change-log lock: the
+  // per-log append mutex in CommitOpRecord orders their seqs, and the lock
+  // only has to keep a collect session out from validation to insert ack
+  // (Fig 20). Both route to the target's shard: the inode key's fingerprint
+  // is exactly pfp's group only for the parent's own row; here the target
+  // key hashes to its own group, which the ring maps to this server and the
   // shard router maps to one shard — same fp, same shard for both tables.
-  auto cl_lock =
-      co_await v->ShardFor(pfp).changelog_locks.AcquireExclusive(FpKey(pfp));
+  auto cl_lock = co_await v->ShardFor(pfp).changelog_locks.AcquireShared(
+      FpKey(pfp), kClAppenders);
   if (v->dead) co_return;
   auto ino_lock =
       co_await v->ShardForKey(ikey).inode_locks.AcquireExclusive(ikey);
@@ -649,6 +652,13 @@ sim::Task<void> SwitchServer::HandleInsertFallback(net::Packet p, VolPtr v) {
   if (env == nullptr) {
     co_return;
   }
+  // Appenders into one directory overlap, so a busy owner can hold many
+  // fallbacks at once and answer after the origin's insert-ack timeout;
+  // re-applying each retransmitted copy would feed that overload.
+  const std::pair<uint32_t, uint64_t> op{env->src_server, env->op_token};
+  if (!v->inflight_fallbacks.insert(op).second) {
+    co_return;
+  }
   stats_.fallbacks++;
   co_await cpu_.Run(costs_->op_dispatch);
   if (v->dead) co_return;
@@ -656,6 +666,7 @@ sim::Task<void> SwitchServer::HandleInsertFallback(net::Packet p, VolPtr v) {
   co_await agg_.ApplyEntries(v, env->dir, env->src_server, env->fp,
                              env->backlog, "");
   if (v->dead) co_return;
+  v->inflight_fallbacks.erase(op);
   // A backlog for a renamed-away directory must not be acked at max seq
   // (ApplyEntries drops it silently): ack only the pre-rename applied
   // prefix, so the source keeps the rest pending and the regular push path
@@ -1293,11 +1304,11 @@ sim::Task<void> SwitchServer::HandleBulkInsert(net::Packet p, VolPtr v) {
   const psw::Fingerprint pfp = ref.parent_fp;
 
   // Locking mirrors the single-entry upsert: parent change-log group
-  // (write), then every target inode (write) — in name order, so two bulks
-  // racing on overlapping name sets cannot deadlock on the entry locks.
-  // All locks are held through the commit.
-  auto cl_lock =
-      co_await v->ShardFor(pfp).changelog_locks.AcquireExclusive(FpKey(pfp));
+  // (appender share), then every target inode (write) — in name order, so
+  // two bulks racing on overlapping name sets cannot deadlock on the entry
+  // locks. All locks are held through the commit.
+  auto cl_lock = co_await v->ShardFor(pfp).changelog_locks.AcquireShared(
+      FpKey(pfp), kClAppenders);
   if (v->dead) co_return;
   std::vector<size_t> order(req->bulk_names.size());
   for (size_t i = 0; i < order.size(); ++i) {

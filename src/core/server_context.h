@@ -219,6 +219,8 @@ struct DurableState {
   X(aggregations)                                                            \
   X(agg_groups)                                                              \
   X(agg_retries)                                                             \
+  /* Responder sessions the watchdog closed (initiator silent). */           \
+  X(agg_sessions_reaped)                                                     \
   X(entries_applied)                                                         \
   X(entries_deduped)                                                         \
   /* Push-path counters. pushes_sent counts PushReq packets whose RPC round  \
@@ -459,6 +461,10 @@ struct SFS_SUSPENSION_SHARED ServerVolatile {
   // Owner-side in-flight PushReq sections being applied (adaptive pacing
   // busy signal).
   int inflight_push_sections = 0;
+  // Owner-side overflow fallbacks being applied, by (origin server,
+  // op_token): a retransmitted insert that overflows again while its first
+  // copy is applied is dropped, the first copy answers both.
+  std::set<std::pair<uint32_t, uint64_t>> inflight_fallbacks;
   uint64_t op_token_counter = 1;
   uint64_t txn_counter = 1;
 

@@ -107,6 +107,14 @@ inline size_t ShardIndexForKey(std::string_view key, size_t num_shards) {
   return ShardIndexForId(IdFromKeyBytes(key), num_shards);
 }
 
+// Share classes of ServerShard::changelog_locks. Appenders (upsert
+// create/unlink, bulk insert, link, the push drain's snapshot and trim)
+// only need the group to stay out of a collect's snapshot window, not out of
+// each other: the per-log append mutex orders their seqs. Collect sessions
+// (AggCollect responders, RunAggregation's local snapshot) only read.
+inline constexpr sim::ShareClass kClAppenders = 1;
+inline constexpr sim::ShareClass kClCollectors = 2;
+
 // Process-unique discipline tag for a shard's lock tables, so the
 // cross-shard-lock rule distinguishes shards across servers and across
 // incarnations of the same server (tags are never reused).
@@ -123,12 +131,13 @@ struct AggWait {
   std::shared_ptr<sim::OneShot<bool>> slot;  // armed per attempt
 };
 
-// Aggregation responder state of one group (holds the snapshot-side
-// change-log lock).
+// Aggregation responder state of one group: registered when a collect
+// starts waiting for the group's change-log lock (collector share), open once
+// `lock` holds it, closed by AggDone or the watchdog.
 struct AggSession {
-  uint64_t seq = 0;
+  uint64_t seq = 0;  // newest collect attempt seen for the group
+  uint64_t id = 0;   // tells a reopened session from the one a handler made
   LockTable::Handle lock;
-  int64_t started_at = 0;
 };
 
 // Source-side per-owner pusher (§5.3 batching): one outbound queue per
@@ -171,7 +180,11 @@ struct SFS_SUSPENSION_SHARED ServerShard {
   kv::KvStore kv;
 
   LockTable inode_locks;      // key: inode key (fp-routed to this shard)
-  LockTable changelog_locks;  // key: FpKey(fp) — one per fingerprint group
+  // key: FpKey(fp) — one per fingerprint group. Appenders share it in
+  // kClAppenders and collect sessions in kClCollectors; the two classes
+  // exclude each other, and rmdir's pair and the moved_fp rebinds take it
+  // exclusively (docs/architecture.md, "Change-log lock compatibility").
+  LockTable changelog_locks;
   LockTable agg_gates;        // key: FpKey(fp) — owner-side read/agg gate
   // Per-change-log append mutex (key: ClAppendKey(fp, dir)), innermost in
   // the lock order: held only across {seq capture -> WAL append -> Restore}
@@ -191,6 +204,7 @@ struct SFS_SUSPENSION_SHARED ServerShard {
       changelogs;
   std::unordered_map<psw::Fingerprint, std::shared_ptr<AggWait>> agg_waits;
   std::unordered_map<psw::Fingerprint, AggSession> agg_sessions;
+  uint64_t agg_session_ids = 0;
   // Owner-side: completion time of the last aggregation per fingerprint.
   std::unordered_map<psw::Fingerprint, int64_t> last_agg_complete;
   // Owner-side quiet sweep (§5.3): last push arrival per group not yet

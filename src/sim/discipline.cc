@@ -14,9 +14,15 @@ struct Hold {
   uint64_t chain = 0;
   LockClass cls = LockClass::kOther;
   bool exclusive = false;
+  uint8_t share_class = 0;  // sim::ShareClass of a shared hold
   int shard = -1;  // shard domain tag; -1 = untagged (rule exempt)
   std::string key;
 };
+
+std::string ModeName(const Hold& h) {
+  return h.exclusive ? "exclusive"
+                     : "shared/" + std::to_string(h.share_class);
+}
 
 struct Registry {
   std::unordered_map<uint64_t, Hold> holds;  // hold id -> hold
@@ -69,9 +75,32 @@ std::string_view LockClassName(LockClass cls) {
 
 void DisciplineChecker::SetHandler(Handler h) { Reg().handler = std::move(h); }
 
+void DisciplineChecker::OnAcquiring(uint64_t chain, LockClass cls,
+                                    std::string_view key, int shard) {
+  if (chain == 0 || shard < 0) {
+    return;
+  }
+  auto& reg = Reg();
+  auto it = reg.by_chain.find(chain);
+  if (it == reg.by_chain.end()) {
+    return;
+  }
+  for (uint64_t id : it->second) {
+    const Hold& h = reg.holds.at(id);
+    if (h.cls == cls && h.shard == shard && h.key == key) {
+      Report("reentrant-lock",
+             "chain " + std::to_string(chain) + " acquires " +
+                 std::string(LockClassName(cls)) + " lock '" +
+                 std::string(key) + "' (shard tag " + std::to_string(shard) +
+                 ") that it already holds " + ModeName(h));
+      return;
+    }
+  }
+}
+
 uint64_t DisciplineChecker::OnAcquired(uint64_t chain, LockClass cls,
                                        bool exclusive, std::string_view key,
-                                       int shard) {
+                                       int shard, uint8_t share_class) {
   auto& reg = Reg();
   if (chain != 0 && cls != LockClass::kAppend) {
     // append-innermost: a chain already holding an append mutex must not
@@ -120,7 +149,8 @@ uint64_t DisciplineChecker::OnAcquired(uint64_t chain, LockClass cls,
     }
   }
   const uint64_t id = reg.next_hold_id++;
-  reg.holds.emplace(id, Hold{chain, cls, exclusive, shard, std::string(key)});
+  reg.holds.emplace(id, Hold{chain, cls, exclusive, share_class, shard,
+                            std::string(key)});
   reg.by_chain[chain].push_back(id);
   return id;
 }

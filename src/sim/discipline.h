@@ -33,6 +33,12 @@
 //    order — an upsert legitimately holds the parent group's change-log lock
 //    while locking the child inode in another shard. Locks with no shard
 //    tag (shard < 0: client caches, baselines, tests) are exempt.
+//  * reentrant-lock — a chain must not acquire a lock it already holds (same
+//    class, shard tag and key), in any mode. Admission is FIFO, so even a
+//    compatible re-acquire (shared after shared, same share class) can queue
+//    behind an incompatible waiter that waits for the chain itself. Checked
+//    when the acquire starts, so a self-deadlock is reported, not hung on.
+//    Untagged locks are exempt, as for cross-shard-lock.
 //
 // Everything compiles away when SFS_DISCIPLINE_CHECKS is 0 (the default for
 // NDEBUG builds — RelWithDebInfo/Release); Debug and Asan builds keep it on.
@@ -68,7 +74,7 @@ std::string_view LockClassName(LockClass cls);
 class DisciplineChecker {
  public:
   struct Violation {
-    std::string rule;    // "append-innermost" | "evict-requires-lock"
+    std::string rule;    // the rule's name, e.g. "append-innermost"
     std::string detail;  // human-readable description of the interleaving
   };
   // Invoked on every violation. The default handler prints the violation and
@@ -77,13 +83,19 @@ class DisciplineChecker {
   using Handler = std::function<void(const Violation&)>;
   static void SetHandler(Handler h);
 
+  // Registers the start of an acquire (reentrant-lock), before it can
+  // suspend. chain 0 = unknown origin (skips the check).
+  static void OnAcquiring(uint64_t chain, LockClass cls, std::string_view key,
+                          int shard = -1);
   // Registers a granted lock. chain 0 = unknown origin (skips the checks but
   // still tracks the hold). `shard` is the acquiring table's shard domain
-  // tag (-1 = untagged, exempt from the cross-shard rule). Returns the hold
-  // id the guard must pass to OnReleased; 0 is the "no hold" sentinel for
-  // default-constructed guards.
+  // tag (-1 = untagged, exempt from the cross-shard rule); `share_class` is
+  // the sim::ShareClass of a shared hold. Returns the hold id the guard must
+  // pass to OnReleased; 0 is the "no hold" sentinel for default-constructed
+  // guards.
   static uint64_t OnAcquired(uint64_t chain, LockClass cls, bool exclusive,
-                             std::string_view key, int shard = -1);
+                             std::string_view key, int shard = -1,
+                             uint8_t share_class = 0);
   static void OnReleased(uint64_t hold_id);
 
   // evict-requires-lock: the calling chain must hold an exclusive kInode

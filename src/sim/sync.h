@@ -165,9 +165,16 @@ class SFS_LOCKABLE Mutex {
   internal::WaitQueue<Acquirer> waiters_;
 };
 
-// Reader/writer lock with strict FIFO admission (no reader or writer
-// starvation): a reader queued behind a writer waits for that writer;
-// consecutive queued readers are admitted as a batch.
+// Share class of a shared SharedMutex hold. Shared holders of one class are
+// compatible with each other; holders of two different classes exclude each
+// other, as an exclusive holder excludes everyone. Class 0 is the plain
+// reader mode.
+using ShareClass = uint8_t;
+
+// Reader/writer lock with share classes and strict FIFO admission (no
+// starvation): an acquire queued behind an incompatible waiter waits for that
+// waiter even if the current holders would admit it; consecutive queued
+// shared acquires of one class are admitted as a batch.
 class SFS_LOCKABLE SharedMutex {
  public:
   explicit SharedMutex(Simulator* sim) : sim_(sim) {}
@@ -209,23 +216,14 @@ class SFS_LOCKABLE SharedMutex {
 
   class [[nodiscard]] Acquirer {
    public:
-    Acquirer(SharedMutex* mu, bool exclusive) : mu_(mu), exclusive_(exclusive) {}
+    Acquirer(SharedMutex* mu, bool exclusive, ShareClass share_class = 0)
+        : mu_(mu), exclusive_(exclusive), share_class_(share_class) {}
     bool await_ready() noexcept {
-      if (!mu_->waiters_.empty()) {
+      if (!mu_->waiters_.empty() || !mu_->Admits(*this)) {
         return false;  // strict FIFO: never bypass the queue
       }
-      if (exclusive_) {
-        if (!mu_->writer_ && mu_->readers_ == 0) {
-          mu_->writer_ = true;
-          return true;
-        }
-        return false;
-      }
-      if (!mu_->writer_) {
-        mu_->readers_++;
-        return true;
-      }
-      return false;
+      mu_->Grant(*this);
+      return true;
     }
     void await_suspend(std::coroutine_handle<> h) {
       handle_ = h;
@@ -238,18 +236,45 @@ class SFS_LOCKABLE SharedMutex {
     friend class internal::WaitQueue<Acquirer>;
     SharedMutex* mu_;
     bool exclusive_;
+    ShareClass share_class_;
     std::coroutine_handle<> handle_;
     Acquirer* queue_next_ = nullptr;
   };
 
-  Acquirer AcquireShared() { return Acquirer(this, false); }
+  Acquirer AcquireShared(ShareClass share_class = 0) {
+    return Acquirer(this, false, share_class);
+  }
   Acquirer AcquireExclusive() { return Acquirer(this, true); }
 
   int readers() const { return readers_; }
+  // The share class of the current shared holders (meaningful while
+  // readers() > 0).
+  ShareClass reader_class() const { return reader_class_; }
   bool has_writer() const { return writer_; }
   size_t waiter_count() const { return waiters_.size(); }
 
  private:
+  bool Admits(const Acquirer& a) const {
+    if (writer_) {
+      return false;
+    }
+    if (a.exclusive_) {
+      return readers_ == 0;
+    }
+    return readers_ == 0 || reader_class_ == a.share_class_;
+  }
+  // Grants are reflected in readers_/writer_ immediately (before a queued
+  // waiter physically resumes) so later arrivals and unlocks observe a
+  // consistent reservation state.
+  void Grant(const Acquirer& a) {
+    if (a.exclusive_) {
+      writer_ = true;
+    } else {
+      reader_class_ = a.share_class_;
+      readers_++;
+    }
+  }
+
   void UnlockShared() {
     assert(readers_ > 0);
     if (--readers_ == 0) {
@@ -262,26 +287,21 @@ class SFS_LOCKABLE SharedMutex {
     Admit();
   }
 
-  // Grants the queue front. Grants are reflected in readers_/writer_
-  // immediately (before the waiter physically resumes) so later arrivals and
-  // unlocks observe a consistent reservation state.
+  // Grants the queue front, then every following waiter the holders admit.
+  // Runs only once the lock is free: the front waiter is always
+  // incompatible with the holders it queued behind, so nothing can be
+  // admitted earlier.
   void Admit() {
-    if (writer_ || readers_ > 0 || waiters_.empty()) {
-      return;
-    }
-    if (waiters_.front()->exclusive_) {
-      writer_ = true;
-      sim_->ResumeAfter(0, waiters_.pop_front()->handle_);
-      return;
-    }
-    while (!waiters_.empty() && !waiters_.front()->exclusive_) {
-      readers_++;
-      sim_->ResumeAfter(0, waiters_.pop_front()->handle_);
+    while (!waiters_.empty() && Admits(*waiters_.front())) {
+      Acquirer* next = waiters_.pop_front();
+      Grant(*next);
+      sim_->ResumeAfter(0, next->handle_);
     }
   }
 
   Simulator* sim_;
   int readers_ = 0;
+  ShareClass reader_class_ = 0;
   bool writer_ = false;
   internal::WaitQueue<Acquirer> waiters_;
 };

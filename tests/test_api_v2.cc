@@ -448,9 +448,7 @@ TEST_P(ApiV2Suite, SetAttrCommitsModeAndTimes) {
 // The shared client's stale-cache retry on a file target and on a directory
 // target: two clients cache the path of /t/a's subtree, a third renames /t/a
 // to /t/c, and each cached path bounces off the servers' invalidation lists
-// (kStaleCache drops the cache entries) before it settles on kNotFound. The
-// tree sits one level down because CephFS-sim keys a subtree by its
-// top-level name and does not move it on a top-level rename.
+// (kStaleCache drops the cache entries) before it settles on kNotFound.
 TEST_P(ApiV2Suite, StaleCacheAfterRenameBouncesThenSettlesOnNotFound) {
   V2Harness fs(MakeSystem(GetParam(), sim::Milliseconds(20)));
   ASSERT_TRUE(fs.Mkdir("/t").ok());
@@ -497,6 +495,42 @@ TEST_P(ApiV2Suite, StaleCacheAfterRenameBouncesThenSettlesOnNotFound) {
   auto moved = fs.Stat("/t/c/b/f");
   ASSERT_TRUE(moved.ok()) << moved.status().ToString();
   EXPECT_EQ(moved->id, before->id);
+}
+
+// The same at the top level: /a is renamed to /c. CephFS-sim keys a subtree
+// by its top-level name and moves no inodes, so /c's subtree must still
+// route to where /a's was placed.
+TEST_P(ApiV2Suite, StaleCacheAfterTopLevelRenameBouncesThenSettlesOnNotFound) {
+  V2Harness fs(MakeSystem(GetParam(), sim::Milliseconds(20)));
+  ASSERT_TRUE(fs.Mkdir("/a").ok());
+  ASSERT_TRUE(fs.Mkdir("/a/b").ok());
+  ASSERT_TRUE(fs.Create("/a/b/f").ok());
+  auto before = fs.Stat("/a/b/f");
+  ASSERT_TRUE(before.ok());
+  auto* reader = static_cast<FsClient*>(fs.client.get());
+  std::unique_ptr<MetadataService> renamer = fs.world->NewClient(false);
+
+  Status renamed = InternalError("not run");
+  fs.Run([](MetadataService* r, Status* moved) -> sim::Task<void> {
+    *moved = co_await r->Rename("/a", "/c");
+  }(renamer.get(), &renamed));
+  ASSERT_TRUE(renamed.ok()) << renamed.ToString();
+  ASSERT_NE(reader->cache().Get("/a/b"), nullptr);
+
+  EXPECT_EQ(fs.Stat("/a/b/f").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(reader->cache().Get("/a/b"), nullptr);
+  EXPECT_EQ(reader->cache().Get("/a"), nullptr);
+
+  auto moved = fs.Stat("/c/b/f");
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  EXPECT_EQ(moved->id, before->id);
+  ASSERT_TRUE(fs.Create("/c/b/g").ok());
+  EXPECT_TRUE(fs.Stat("/c/b/g").ok());
+  // The old name is free again, and a new subtree under it routes normally.
+  ASSERT_TRUE(fs.Mkdir("/a").ok());
+  ASSERT_TRUE(fs.Create("/a/h").ok());
+  EXPECT_TRUE(fs.Stat("/a/h").ok());
+  EXPECT_TRUE(fs.Stat("/c/b/f").ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFiveSystems, ApiV2Suite,

@@ -1,9 +1,9 @@
 // Dynamic lock-discipline checker (src/sim/discipline.h): proves the checker
-// fires on a non-innermost append-mutex acquisition and on a switch-cache
-// evict run without the exclusive inode lock, and stays silent on the
-// disciplined orders. The checks are compiled out under NDEBUG
-// (RelWithDebInfo/Release); these tests then skip — the Asan and Debug legs
-// of scripts/check.sh run them for real.
+// fires on a non-innermost append-mutex acquisition, on a switch-cache evict
+// run without the exclusive inode lock and on a chain re-acquiring a lock it
+// holds, and stays silent on the disciplined orders. The checks compile away
+// under NDEBUG, so this test links the switchfs_discipline library variant,
+// built with SFS_DISCIPLINE_CHECKS=1, and runs in every build type.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -36,10 +36,10 @@ core::InodeId Dir(uint64_t n) {
 
 class DisciplineTest : public ::testing::Test {
  protected:
+  static_assert(SFS_DISCIPLINE_CHECKS,
+                "link against switchfs_discipline (CMakeLists.txt)");
+
   void SetUp() override {
-#if !SFS_DISCIPLINE_CHECKS
-    GTEST_SKIP() << "discipline checks compiled out (NDEBUG)";
-#endif
     sim::DisciplineChecker::Reset();
     sim::DisciplineChecker::SetHandler(
         [this](const sim::DisciplineChecker::Violation& v) {
@@ -132,6 +132,28 @@ TEST_F(DisciplineTest, HoldsFollowTheAwaitChainAcrossSubcoroutines) {
   ASSERT_EQ(done, 2);
   EXPECT_TRUE(violations_.empty());
   EXPECT_EQ(sim::DisciplineChecker::live_holds(), 0u);
+}
+
+// reentrant-lock: a chain acquiring a change-log group lock it already
+// holds is reported when the acquire starts. This one is a same-class shared
+// re-acquire, which an empty queue grants; behind a queued collect session
+// it would wait for the chain itself.
+TEST_F(DisciplineTest, ReacquiringAHeldLockFires) {
+  sim::Simulator sim;
+  LockTable cl_locks(&sim, sim::LockClass::kChangelogGroup, /*shard=*/3);
+  bool done = false;
+  sim::Spawn([](LockTable* cl, bool* flag) -> sim::Task<void> {
+    auto first = co_await cl->AcquireShared(core::FpKey(5), core::kClAppenders);
+    auto again = co_await cl->AcquireShared(core::FpKey(5), core::kClAppenders);
+    auto other = co_await cl->AcquireShared(core::FpKey(6), core::kClAppenders);
+    *flag = true;
+  }(&cl_locks, &done));
+  sim.Run();
+  ASSERT_TRUE(done);
+  ASSERT_EQ(violations_.size(), 1u);
+  EXPECT_EQ(violations_[0].rule, "reentrant-lock");
+  EXPECT_NE(violations_[0].detail.find("shared/1"), std::string::npos)
+      << violations_[0].detail;
 }
 
 // Drives the real EvictSwitchCacheEntry against a minimal server context:

@@ -1,7 +1,9 @@
 // Unit tests for the protocol modules extracted from the SwitchServer
 // monolith (aggregation, push engine, rename coordinator): each runs against
 // a bare ServerContext + ServerVolatile on a single simulated node — no
-// Cluster, no SwitchFsClient — exercising the module boundary directly.
+// Cluster, no SwitchFsClient — exercising the module boundary directly. The
+// change-log lock protocol tests at the end need whole servers: they run a
+// two-server Cluster behind a switch that can hold back dirty-set inserts.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,6 +12,7 @@
 #include <vector>
 
 #include "src/core/aggregation.h"
+#include "src/core/cluster.h"
 #include "src/core/push_engine.h"
 #include "src/core/rename_coordinator.h"
 #include "src/core/schema.h"
@@ -1219,6 +1222,205 @@ TEST(RenameCoordinatorModule, CommitsLegalDirectoryMove) {
   // One deferred parent update per leg.
   EXPECT_EQ(h.publishes, 2);
   EXPECT_TRUE(h.vol->txn_locks.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Change-log lock protocol (docs/architecture.md, "Change-log lock
+// compatibility"): creates into one directory share the lock, and a collect
+// session excludes them in both directions.
+// ---------------------------------------------------------------------------
+
+// Forwards to the data plane, but drops dirty-set inserts while `hold` is
+// set. A dropped insert leaves its op holding the parent's change-log lock
+// (an appender waits for its insert ack); the op's retransmits get through
+// once `hold` is cleared.
+class InsertGate : public net::SwitchBehavior {
+ public:
+  explicit InsertGate(net::SwitchBehavior* inner) : inner_(inner) {}
+  std::vector<net::Packet> Process(net::Packet p) override {
+    if (hold && p.ds.op == net::DsOp::kInsert && !p.ds.ret) {
+      return {};
+    }
+    return inner_->Process(std::move(p));
+  }
+  sim::SimTime PipelineDelay() const override {
+    return inner_->PipelineDelay();
+  }
+  bool hold = false;
+
+ private:
+  net::SwitchBehavior* inner_;
+};
+
+// Two servers, a preloaded /d, and warm clients issuing ops concurrently.
+// The directory's owner O runs rmdir's aggregation; every test name lands
+// on the other server S, whose change-log the collect reaches.
+class LockProtocolHarness {
+ public:
+  LockProtocolHarness() : cluster(Config()), gate(cluster.data_plane()) {
+    cluster.network().SetSwitch(&gate);
+    dir = cluster.PreloadMkdir("/d");
+    owner = cluster.InodeServer(RootId(), "d", "");
+    other = 1 - owner;
+  }
+
+  static ClusterConfig Config() {
+    ClusterConfig cfg;
+    cfg.num_servers = 2;
+    cfg.switch_config.dirty_set.num_stages = 6;
+    cfg.switch_config.dirty_set.registers_per_stage = 4096;
+    cfg.switch_config.num_pipes = 2;
+    return cfg;
+  }
+
+  // "<prefix><i>" names in /d whose inodes (and creates) live on `other`.
+  std::string NameOnOther(const std::string& prefix, int skip = 0) {
+    for (int i = 0;; ++i) {
+      const std::string name = prefix + std::to_string(i);
+      if (cluster.InodeServer(dir.id, name, "") == other && skip-- == 0) {
+        return name;
+      }
+    }
+  }
+
+  // Starts `op` on a fresh warm client; `*out` is set when it returns.
+  void Start(std::function<sim::Task<Status>(SwitchFsClient*)> op,
+             std::optional<Status>* out) {
+    clients.push_back(cluster.MakeClient());
+    cluster.WarmClient(*clients.back());
+    sim::Spawn([](std::function<sim::Task<Status>(SwitchFsClient*)> f,
+                  SwitchFsClient* c,
+                  std::optional<Status>* o) -> sim::Task<void> {
+      *o = co_await f(c);
+    }(std::move(op), clients.back().get(), out));
+  }
+  void StartCreate(const std::string& path, std::optional<Status>* out) {
+    Start([path](SwitchFsClient* c) { return c->Create(path); }, out);
+  }
+  void StartRmdir(const std::string& path, std::optional<Status>* out) {
+    Start([path](SwitchFsClient* c) { return c->Rmdir(path); }, out);
+  }
+
+  void RunFor(sim::SimTime d) { cluster.sim().RunUntil(cluster.sim().Now() + d); }
+  size_t PendingAtOther() {
+    return cluster.server(other).PendingChangeLogEntries();
+  }
+
+  Cluster cluster;
+  InsertGate gate;
+  Cluster::PreloadedDir dir;
+  uint32_t owner = 0;
+  uint32_t other = 0;
+  std::vector<std::unique_ptr<SwitchFsClient>> clients;
+};
+
+// Two creates into one directory on one server overlap: the second commits
+// while the first still waits for its insert ack (an exclusive change-log
+// lock would hold the second at the lock until that ack).
+TEST(ChangeLogLockProtocol, CreatesIntoOneDirectoryOverlap) {
+  LockProtocolHarness h;
+  std::optional<Status> a;
+  std::optional<Status> b;
+  h.gate.hold = true;
+  h.StartCreate("/d/" + h.NameOnOther("f"), &a);
+  h.StartCreate("/d/" + h.NameOnOther("f", 1), &b);
+  h.RunFor(sim::Microseconds(100));
+  EXPECT_EQ(h.PendingAtOther(), 2u);  // both committed ...
+  EXPECT_FALSE(a.has_value());        // ... neither has its insert ack
+  EXPECT_FALSE(b.has_value());
+
+  h.gate.hold = false;
+  h.cluster.sim().Run();
+  ASSERT_TRUE(a.has_value() && b.has_value());
+  EXPECT_TRUE(a->ok()) << a->ToString();
+  EXPECT_TRUE(b->ok()) << b->ToString();
+  EXPECT_EQ(h.PendingAtOther(), 0u);
+}
+
+// Fig 20, create first: the create validated (and committed) before the
+// rmdir's collect reached its server, so the collect waits for the create's
+// insert ack, snapshots its entry, and the rmdir finds /d not empty.
+TEST(ChangeLogLockProtocol, CreateValidatedFirstMakesRmdirSeeNotEmpty) {
+  LockProtocolHarness h;
+  std::optional<Status> create;
+  std::optional<Status> rmdir;
+  h.gate.hold = true;
+  h.StartCreate("/d/" + h.NameOnOther("f"), &create);
+  h.RunFor(sim::Microseconds(100));
+  ASSERT_EQ(h.PendingAtOther(), 1u);
+  h.StartRmdir("/d", &rmdir);
+  h.RunFor(sim::Microseconds(100));
+  EXPECT_FALSE(rmdir.has_value());  // its collect waits for the create
+
+  h.gate.hold = false;
+  h.cluster.sim().Run();
+  ASSERT_TRUE(create.has_value() && rmdir.has_value());
+  EXPECT_TRUE(create->ok()) << create->ToString();
+  EXPECT_EQ(rmdir->code(), StatusCode::kNotEmpty) << rmdir->ToString();
+  EXPECT_EQ(h.cluster.server(h.other).stats().stale_cache_bounces, 0u);
+}
+
+// Fig 20, session first: the rmdir's collect session at S is open (held
+// open by the rmdir's own parent insert, which precedes its AggDone), so a
+// create arriving at S waits at the change-log lock without committing, and
+// validates only after the session closes — against the invalidation the
+// collect installed, so it bounces kStaleCache and the client's retry finds
+// /d gone.
+TEST(ChangeLogLockProtocol, SessionOpenedFirstBouncesCreateStale) {
+  LockProtocolHarness h;
+  std::optional<Status> create;
+  std::optional<Status> rmdir;
+  h.gate.hold = true;
+  h.StartRmdir("/d", &rmdir);
+  h.RunFor(sim::Microseconds(100));
+  ASSERT_EQ(
+      h.cluster.server(h.other).vol_for_test().ShardFor(h.dir.fp)
+          .agg_sessions.count(h.dir.fp),
+      1u);
+  h.StartCreate("/d/" + h.NameOnOther("f"), &create);
+  h.RunFor(sim::Microseconds(100));
+  EXPECT_EQ(h.PendingAtOther(), 0u);  // the create waits at the lock
+  EXPECT_FALSE(create.has_value());
+
+  h.gate.hold = false;
+  h.cluster.sim().Run();
+  ASSERT_TRUE(create.has_value() && rmdir.has_value());
+  EXPECT_TRUE(rmdir->ok()) << rmdir->ToString();
+  EXPECT_EQ(create->code(), StatusCode::kNotFound) << create->ToString();
+  EXPECT_EQ(h.cluster.server(h.other).stats().stale_cache_bounces, 1u);
+}
+
+// A collect retried while its first attempt still waits for the change-log
+// lock joins the waiting session rather than queueing for the lock behind
+// the appender that arrived in between; the session opens once, answers the
+// retry's seq, and closes at AggDone — no watchdog reap.
+TEST(ChangeLogLockProtocol, RetriedCollectJoinsItsWaitingSession) {
+  LockProtocolHarness h;
+  std::optional<Status> first;
+  std::optional<Status> later;
+  std::optional<Status> rmdir;
+  h.gate.hold = true;
+  h.StartCreate("/d/" + h.NameOnOther("f"), &first);
+  h.RunFor(sim::Microseconds(100));
+  ASSERT_EQ(h.PendingAtOther(), 1u);
+  h.StartRmdir("/d", &rmdir);  // collect attempt 1 waits behind `first`
+  h.RunFor(sim::Microseconds(100));
+  h.StartCreate("/d/" + h.NameOnOther("f", 1), &later);  // queues behind it
+  // Past agg_reply_timeout: the owner retries the collect.
+  h.RunFor(h.cluster.config().server_template.agg_reply_timeout +
+           sim::Microseconds(100));
+  EXPECT_GE(h.cluster.server(h.owner).stats().agg_retries, 1u);
+  EXPECT_FALSE(rmdir.has_value());
+
+  h.gate.hold = false;
+  h.cluster.sim().Run();
+  ASSERT_TRUE(first.has_value() && later.has_value() && rmdir.has_value());
+  EXPECT_TRUE(first->ok()) << first->ToString();
+  EXPECT_TRUE(later->ok()) << later->ToString();
+  EXPECT_EQ(rmdir->code(), StatusCode::kNotEmpty) << rmdir->ToString();
+  EXPECT_EQ(h.cluster.TotalStats().agg_sessions_reaped, 0u);
+  EXPECT_TRUE(h.cluster.server(h.other).vol_for_test().ShardFor(h.dir.fp)
+                  .agg_sessions.empty());
 }
 
 }  // namespace

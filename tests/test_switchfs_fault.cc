@@ -113,6 +113,29 @@ TEST(SwitchFsFault, OverflowFallsBackToSynchronousUpdate) {
   EXPECT_EQ(sd->size, 19u);
 }
 
+// An insert retransmitted while the owner still applies its overflow
+// fallback overflows again; the owner drops that copy instead of applying
+// the backlog once per retransmit (here the insert-ack timeout is far
+// shorter than the apply, so the origin retransmits many times).
+TEST(SwitchFsFault, OverflowRetransmitsDoNotReapplyAnInFlightFallback) {
+  ClusterConfig cfg = SmallClusterConfig();
+  cfg.server_template.insert_ack_timeout = sim::Microseconds(1);
+  FsHarness fs(cfg);
+  fs.cluster.data_plane()->SetForceInsertOverflow(true);
+  ASSERT_TRUE(fs.Mkdir("/d").ok());
+  const uint64_t inserts = fs.cluster.data_plane()->stats().insert_fallbacks;
+  const uint64_t applies = fs.cluster.TotalStats().fallbacks;
+  ASSERT_TRUE(fs.Create("/d/f").ok());
+  const uint64_t redirected =
+      fs.cluster.data_plane()->stats().insert_fallbacks - inserts;
+  const uint64_t applied = fs.cluster.TotalStats().fallbacks - applies;
+  EXPECT_GT(redirected, 3u);
+  EXPECT_LT(applied, redirected);
+  auto sd = fs.StatDir("/d");
+  ASSERT_TRUE(sd.ok());
+  EXPECT_EQ(sd->size, 1u);
+}
+
 TEST(SwitchFsFault, ServerCrashRecoversCommittedState) {
   FsHarness fs;
   ASSERT_TRUE(fs.Mkdir("/d").ok());

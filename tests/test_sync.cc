@@ -1,7 +1,7 @@
 // Tests for coroutine synchronization primitives: mutual exclusion, FIFO
-// fairness, reader batching, handoff correctness under racing acquires, and
-// the OneShot completion slot used by the RPC layer, and the CpuPool run
-// queue.
+// fairness, reader batching, share classes, handoff correctness under racing
+// acquires, and the OneShot completion slot used by the RPC layer, and the
+// CpuPool run queue.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -146,6 +146,109 @@ TEST(SharedMutex, BatchesConsecutiveQueuedReaders) {
   sim.ScheduleAt(3, [&] { Spawn(reader()); });
   sim.Run();
   EXPECT_EQ(max_concurrent, 3);  // all three admitted together after writer
+}
+
+// Share classes (the change-log lock's appenders and collect sessions): one
+// holder log, "+<tag>" on grant and "-<tag>" on release, drives each test.
+class ClassedLockLog {
+ public:
+  explicit ClassedLockLog(Simulator* sim) : sim_(sim), mu_(sim) {}
+
+  // Spawns, at `at`, a holder of `mode` ('x' exclusive, or a share class
+  // digit) that keeps the lock for `hold` ns.
+  void Hold(SimTime at, char tag, char mode, SimTime hold) {
+    sim_->ScheduleAt(at, [this, tag, mode, hold] {
+      Spawn(Holder(this, tag, mode, hold));
+    });
+  }
+  const std::string& log() const { return log_; }
+  SharedMutex& mu() { return mu_; }
+
+ private:
+  static Task<void> Holder(ClassedLockLog* self, char tag, char mode,
+                           SimTime hold) {
+    SharedMutex::Guard g;
+    if (mode == 'x') {
+      g = co_await self->mu_.AcquireExclusive();
+    } else {
+      g = co_await self->mu_.AcquireShared(static_cast<ShareClass>(mode - '0'));
+    }
+    self->log_ += std::string("+") + tag;
+    co_await Delay(self->sim_, hold);
+    self->log_ += std::string("-") + tag;
+  }
+
+  Simulator* sim_;
+  SharedMutex mu_;
+  std::string log_;
+};
+
+TEST(SharedMutexClasses, SameClassHoldersShare) {
+  Simulator sim;
+  ClassedLockLog l(&sim);
+  l.Hold(0, 'a', '1', 10);
+  l.Hold(1, 'b', '1', 10);
+  l.Hold(2, 'c', '1', 10);
+  sim.RunUntil(5);
+  EXPECT_EQ(l.mu().readers(), 3);
+  EXPECT_EQ(l.mu().reader_class(), 1);
+  sim.Run();
+  EXPECT_EQ(l.log(), "+a+b+c-a-b-c");
+  EXPECT_EQ(l.mu().readers(), 0);
+}
+
+TEST(SharedMutexClasses, OtherClassWaitsInFifoOrder) {
+  Simulator sim;
+  ClassedLockLog l(&sim);
+  l.Hold(0, 'a', '1', 10);  // class 1 holds until 10
+  l.Hold(1, 'P', '2', 10);  // class 2 queues behind it
+  l.Hold(2, 'b', '1', 10);  // class 1 again, but queued behind P
+  l.Hold(3, 'Q', '2', 10);  // class 2 again, queued behind b
+  sim.Run();
+  // FIFO: b does not join a's class past the queued P, and Q does not join
+  // P's class past the queued b.
+  EXPECT_EQ(l.log(), "+a-a+P-P+b-b+Q-Q");
+}
+
+TEST(SharedMutexClasses, ConsecutiveQueuedSameClassWaitersAdmitTogether) {
+  Simulator sim;
+  ClassedLockLog l(&sim);
+  l.Hold(0, 'a', '1', 10);
+  l.Hold(1, 'P', '2', 10);
+  l.Hold(2, 'Q', '2', 10);
+  l.Hold(3, 'b', '1', 10);
+  sim.Run();
+  EXPECT_EQ(l.log(), "+a-a+P+Q-P-Q+b-b");
+}
+
+TEST(SharedMutexClasses, ExclusiveExcludesBothClasses) {
+  Simulator sim;
+  ClassedLockLog l(&sim);
+  l.Hold(0, 'a', '1', 10);
+  l.Hold(1, 'X', 'x', 10);
+  l.Hold(2, 'P', '2', 10);
+  l.Hold(3, 'Y', 'x', 10);
+  l.Hold(4, 'b', '1', 10);
+  sim.Run();
+  EXPECT_EQ(l.log(), "+a-a+X-X+P-P+Y-Y+b-b");
+  EXPECT_FALSE(l.mu().has_writer());
+}
+
+// A collect session queued behind appenders is granted as soon as the
+// appenders ahead of it leave, however many more keep arriving: each late
+// appender queues behind the session instead of joining the held class.
+TEST(SharedMutexClasses, WaitingSessionIsNotStarvedByArrivingAppenders) {
+  Simulator sim;
+  ClassedLockLog l(&sim);
+  l.Hold(0, 'a', '1', 10);  // appender holding until 10
+  l.Hold(1, 'S', '2', 5);   // session waits
+  for (int i = 0; i < 8; ++i) {
+    // A stream of appenders, each arriving while some appender still holds.
+    l.Hold(2 + i, static_cast<char>('b' + i), '1', 10);
+  }
+  sim.Run();
+  EXPECT_EQ(l.log().substr(0, 6), "+a-a+S");
+  EXPECT_EQ(l.log().find("+b"), l.log().find("-S") + 2);
 }
 
 TEST(Semaphore, LimitsConcurrencyAndHandsOffFairly) {
